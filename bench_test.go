@@ -544,14 +544,15 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 	prog := MustParse(src)
 	var edb Store
 	for _, engine := range []struct {
-		name string
-		run  func(opts EvalOptions) error
+		name    string
+		workers int // 0 for the sequential engine, which rejects Workers
+		run     func(opts EvalOptions) error
 	}{
-		{"seq", func(opts EvalOptions) error {
+		{"seq", 0, func(opts EvalOptions) error {
 			_, err := Eval(context.Background(), prog, edb, opts)
 			return err
 		}},
-		{"par4", func(opts EvalOptions) error {
+		{"par4", 4, func(opts EvalOptions) error {
 			_, err := EvalParallel(context.Background(), prog, edb, opts)
 			return err
 		}},
@@ -559,7 +560,7 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 		b.Run(engine.name+"/off", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := engine.run(EvalOptions{Workers: 4}); err != nil {
+				if err := engine.run(EvalOptions{Workers: engine.workers}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -567,7 +568,7 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 		b.Run(engine.name+"/counting", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := engine.run(EvalOptions{Workers: 4, Metrics: true}); err != nil {
+				if err := engine.run(EvalOptions{Workers: engine.workers, Metrics: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

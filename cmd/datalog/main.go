@@ -18,8 +18,6 @@
 //	-query 'p(a,X)' evaluate goal-directed: demand (magic-sets) rewrite
 //	                the program to the goal, then stream its answers
 //	-no-demand      answer -query from a full materialization instead
-//	-planner P      join-order planner: boundness (default) | greedy |
-//	                left-to-right
 //	-explain        print the query plan (join orders, pushdowns, demand
 //	                rewrite) to stderr
 //	-profile        collect a runtime profile and print the EXPLAIN ANALYZE
@@ -78,7 +76,6 @@ func main() {
 		preds       = flag.String("pred", "", "comma-separated predicates to print (default: all derived)")
 		query       = flag.String("query", "", "evaluate goal-directed and print the answers of this atom, e.g. 'anc(a, X)'")
 		noDemand    = flag.Bool("no-demand", false, "disable the magic-sets rewrite for -query")
-		planner     = flag.String("planner", "boundness", "join-order planner: boundness | greedy | left-to-right")
 		explain     = flag.Bool("explain", false, "print the query plan to stderr")
 		profileF    = flag.Bool("profile", false, "collect a runtime profile and print the analyze section to stderr")
 		logJSON     = flag.Bool("log-json", false, "emit diagnostic log lines as JSON objects")
@@ -168,7 +165,7 @@ func main() {
 	if *workers <= 0 {
 		o := telemetry
 		o.Naive, o.Trace, o.Metrics = *naive, traceSink(rec), *metrics
-		o.Planner, o.Explain, o.NoDemand = plannerOf(*planner), *explain, *noDemand
+		o.Explain, o.NoDemand = *explain, *noDemand
 		o.Profile = *profileF
 		if *query != "" {
 			runQuery(ctx, prog, edb, *query, o, *explain || *profileF, *stats)
@@ -205,7 +202,6 @@ func main() {
 	opts.Strategy = strategyOf(*strategy)
 	opts.Trace = traceSink(rec)
 	opts.Metrics = *metrics
-	opts.Planner = plannerOf(*planner)
 	opts.Explain = *explain
 	opts.Profile = *profileF
 	opts.NoDemand = *noDemand
@@ -342,21 +338,6 @@ func runQuery(ctx context.Context, prog *parlog.Program, edb parlog.Store, goal 
 		}
 	}
 	printMetrics(qr.Metrics)
-}
-
-// plannerOf maps the -planner flag to the API value.
-func plannerOf(s string) parlog.PlannerMode {
-	switch s {
-	case "", "boundness":
-		return parlog.PlannerBoundness
-	case "greedy":
-		return parlog.PlannerGreedy
-	case "left-to-right", "ltr":
-		return parlog.PlannerLeftToRight
-	default:
-		fatal(fmt.Errorf("unknown planner %q", s))
-		return 0
-	}
 }
 
 // strategyOf maps the -strategy flag to the API value.

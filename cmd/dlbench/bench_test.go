@@ -68,7 +68,7 @@ func TestRecoveryJSON(t *testing.T) {
 	}
 }
 
-// TestPlanJSON checks the document E18 writes: the four query kernels
+// TestPlanJSON checks the document E18 writes: the three query kernels
 // present with non-degenerate op counts, and the demand reduction it
 // self-gates on recorded in the document.
 func TestPlanJSON(t *testing.T) {
@@ -90,7 +90,7 @@ func TestPlanJSON(t *testing.T) {
 			t.Errorf("%s: ops=%d", k.Name, k.Ops)
 		}
 	}
-	for _, want := range []string{"query-demand-off", "query-demand-on", "ex3-greedy", "ex3-ltr"} {
+	for _, want := range []string{"query-demand-off", "query-demand-on", "ex3"} {
 		if !names[want] {
 			t.Errorf("missing kernel %q in %s", want, planOut)
 		}

@@ -26,9 +26,8 @@
 //	    plus a 4-worker Example 3 end-to-end run; ns/op, B/op and allocs/op
 //	    are written to BENCH_core.json (see -core-out)
 //	E18 query planning: goal-directed reachability with the magic-sets
-//	    (demand) rewrite vs full materialization, and the greedy planner vs
-//	    the left-to-right ablation; written to BENCH_plan.json (see
-//	    -plan-out)
+//	    (demand) rewrite vs full materialization, and Example 3's full
+//	    evaluation per firing; written to BENCH_plan.json (see -plan-out)
 //	E19 incremental maintenance: single-edge insert/delete batches absorbed
 //	    by the counting/DRed engine vs from-scratch refixpoints; fails
 //	    unless refixpointing does at least 5x the derived work; written to
@@ -87,7 +86,7 @@ var experiments = []experiment{
 	{"E15", "Examples 1–3 — metrics snapshot to BENCH_parallel.json", runE15},
 	{"E16", "Bounded recovery — checkpointed vs full-replay worker kill", runE16},
 	{"E17", "Core kernels — insert/probe/join/delta + Example 3 to BENCH_core.json", runE17},
-	{"E18", "Query planning — demand rewrite + greedy planner to BENCH_plan.json", runE18},
+	{"E18", "Query planning — demand rewrite + Example 3 join kernel to BENCH_plan.json", runE18},
 	{"E19", "Incremental maintenance — counting/DRed deltas vs refixpoint to BENCH_ivm.json", runE19},
 	{"E20", "Durable storage — fsync-policy WAL tax + cold start vs recompute to BENCH_durability.json", runE20},
 	{"E21", "Adaptive rebalancing — skew-triggered hot-bucket migration to BENCH_rebalance.json", runE21},

@@ -1,7 +1,7 @@
 package main
 
-// E18 — goal-directed query benchmark: demand rewriting and the greedy
-// planner.
+// E18 — goal-directed query benchmark: demand rewriting and the join
+// kernel.
 //
 // Two measurements into BENCH_plan.json. First, goal-directed reachability:
 // anc(src, X) on a random digraph, answered once from a full materialization
@@ -10,11 +10,10 @@ package main
 // answers, so the rewrite's point (evaluate only what the goal can reach)
 // is asserted, not just reported. The ancestor program here is the
 // left-linear variant: under a bf goal its magic set stays {src}, which is
-// the shape demand rewriting rewards. Second, the greedy planner against
-// the left-to-right ablation on Example 3's right-linear ancestor — firing
-// counts must match exactly (join order never changes the derived set), and
-// the timing/allocation kernels feed cmd/benchguard, which gates allocs/op
-// on the query kernels like it gates E17's storage kernels.
+// the shape demand rewriting rewards. Second, the full evaluation of
+// Example 3's right-linear ancestor, reported per firing. The timing and
+// allocation kernels feed cmd/benchguard, which gates allocs/op on the query
+// kernels like it gates E17's storage kernels.
 
 import (
 	"encoding/json"
@@ -109,7 +108,7 @@ func runE18(quick bool) error {
 		seed.Insert(relation.Tuple(d.SeedTuple))
 		onStore, onStats, err = seminaive.Eval(d.Program, relation.Store{
 			"par": par, d.SeedPred: seed,
-		}, seminaive.Options{Planner: seminaive.PlanGreedy})
+		}, seminaive.Options{})
 	})
 	if err != nil {
 		return err
@@ -143,35 +142,21 @@ func runE18(quick bool) error {
 	}
 	doc.Kernels = append(doc.Kernels, offKernel, onKernel)
 
-	// --- greedy vs left-to-right on Example 3's ancestor ---
+	// --- Example 3's ancestor, per firing ---
 	ex3 := workload.AncestorProgram()
 	edb := relation.Store{"par": workload.RandomGraph(nodes, edges, 11)}
-	firings := map[seminaive.PlanMode]int64{}
-	for _, mode := range []struct {
-		name string
-		mode seminaive.PlanMode
-	}{
-		{"ex3-greedy", seminaive.PlanGreedy},
-		{"ex3-ltr", seminaive.PlanLeftToRight},
-	} {
-		var stats *seminaive.Stats
-		k := coreMeasure(mode.name, 1, func() {
-			_, stats, err = seminaive.Eval(ex3, edb, seminaive.Options{Planner: mode.mode})
-		})
-		if err != nil {
-			return err
-		}
-		firings[mode.mode] = stats.Firings
-		k.Ops = stats.Firings
-		k.NsPerOp = round2(k.NsPerOp / float64(stats.Firings))
-		k.BPerOp = round2(k.BPerOp / float64(stats.Firings))
-		k.AllocsPerOp = round2(k.AllocsPerOp / float64(stats.Firings))
-		doc.Kernels = append(doc.Kernels, k)
+	var stats *seminaive.Stats
+	k := coreMeasure("ex3", 1, func() {
+		_, stats, err = seminaive.Eval(ex3, edb, seminaive.Options{})
+	})
+	if err != nil {
+		return err
 	}
-	if firings[seminaive.PlanGreedy] != firings[seminaive.PlanLeftToRight] {
-		return fmt.Errorf("E18: greedy fired %d, left-to-right %d — join order changed the derived set",
-			firings[seminaive.PlanGreedy], firings[seminaive.PlanLeftToRight])
-	}
+	k.Ops = stats.Firings
+	k.NsPerOp = round2(k.NsPerOp / float64(stats.Firings))
+	k.BPerOp = round2(k.BPerOp / float64(stats.Firings))
+	k.AllocsPerOp = round2(k.AllocsPerOp / float64(stats.Firings))
+	doc.Kernels = append(doc.Kernels, k)
 
 	for _, kr := range doc.Kernels {
 		fmt.Printf("%-16s ops=%-8d %10.1f ns/op %10.1f B/op %8.2f allocs/op\n",

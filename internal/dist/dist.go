@@ -324,10 +324,6 @@ type Config struct {
 	// ProcIDs maps dense worker indices to paper-level processor ids for
 	// event labeling; nil labels events with the dense index.
 	ProcIDs []int
-	// Planner selects the join-order planner; non-default modes make
-	// every node (including recovery replacements) recompile its plans
-	// against its own fragment cardinalities before evaluating.
-	Planner seminaive.PlanMode
 	// Profile arms per-rule runtime counters on every worker node (the
 	// start message carries the flag; adopted buckets inherit it) and
 	// merges the records shipped with each worker's output into

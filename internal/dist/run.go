@@ -42,7 +42,6 @@ func Run(p *parallel.Program, edb relation.Store, cfg Config) (*Result, error) {
 	newNode := func(bucket int) *parallel.Node {
 		n := parallel.NewNode(p, bucket, global)
 		n.SetSink(cfg.Sink)
-		n.Replan(cfg.Planner)
 		return n
 	}
 	type werr struct {

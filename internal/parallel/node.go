@@ -34,7 +34,7 @@ type Node struct {
 	procID int
 
 	// rules is this worker's compiled rule set — the program's shared
-	// plans by default, or a node-local recompilation after Replan.
+	// plans, or armed copies of them after EnableProfile.
 	rules []compiledRule
 
 	store relation.Store                // EDB fragments + @in relations
@@ -45,8 +45,7 @@ type Node struct {
 	stats ProcStats
 
 	// profile arms per-rule runtime counters; ruleProfs[i] accounts
-	// n.rules[i]. The flag is sticky across Replan so a planner change
-	// cannot silently drop instrumentation.
+	// n.rules[i].
 	profile   bool
 	ruleProfs []*seminaive.RuleProfile
 
@@ -174,55 +173,13 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 	return n
 }
 
-// Replan recompiles this node's rule plans under the given planner mode,
-// using the node's own base-relation fragment cardinalities (exact at this
-// point: NewNode has materialized the fragments, @in relations are still
-// empty). PlanBoundness is a no-op — the node keeps the program's shared
-// plans, so default runs stay byte-identical. Transports call it after
-// SetSink and before Init; each compiled plan is reported as a
-// PlanCompiled event.
-func (n *Node) Replan(mode seminaive.PlanMode) {
-	if mode == seminaive.PlanBoundness {
-		return
-	}
-	cfg := seminaive.PlanConfig{Mode: mode, Card: func(pred string) int {
-		if rel, ok := n.store[pred]; ok {
-			return rel.Len()
-		}
-		return 0
-	}}
-	rules := make([]compiledRule, len(n.rules))
-	for i, cr := range n.rules {
-		nr := cr
-		if cr.init {
-			nr.plans = []*seminaive.Plan{seminaive.CompileWith(cr.rule, nil, cfg)}
-		} else {
-			nr.plans = seminaive.DeltaVariantsWith(cr.rule, cr.recAtoms, cfg)
-		}
-		for _, pl := range nr.plans {
-			obs.PlanCompiled(n.sink, n.procID, nr.head, pl.Moved(), pl.Pushdowns())
-		}
-		rules[i] = nr
-	}
-	n.rules = rules
-	if n.profile {
-		n.armProfiles()
-	}
-}
-
-// EnableProfile arms per-rule runtime counters on this node. Transports call
-// it after Replan and before Init; the flag survives a later Replan (the
-// recompiled plans are re-armed). Profiling works on node-local plan copies,
-// so the program's shared plans stay untouched.
+// EnableProfile arms per-rule runtime counters on this node: every plan is
+// swapped for an armed copy, so the program's shared plans stay untouched.
+// Transports call it before Init. Rule keys strip the per-processor
+// restriction constraint (seminaive.ProfileKey), so all workers' records of
+// one source rule merge.
 func (n *Node) EnableProfile() {
 	n.profile = true
-	n.armProfiles()
-}
-
-// armProfiles swaps every plan for an armed copy and resets the per-rule
-// records. Rule keys strip the per-processor restriction constraint
-// (seminaive.ProfileKey), so all workers' records of one source rule merge.
-func (n *Node) armProfiles() {
 	n.ruleProfs = make([]*seminaive.RuleProfile, len(n.rules))
 	rules := make([]compiledRule, len(n.rules))
 	for i, cr := range n.rules {
@@ -233,7 +190,7 @@ func (n *Node) armProfiles() {
 		}
 		rules[i] = nr
 		n.ruleProfs[i] = &seminaive.RuleProfile{
-			Key:  seminaive.ProfileKey(n.prog.src, cr.rule),
+			Key:  seminaive.ProfileKey(n.prog.src, cr.plans[0].Rule),
 			Pred: cr.head,
 		}
 	}

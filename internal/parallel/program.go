@@ -50,10 +50,6 @@ type compiledRule struct {
 	head  string
 	arity int
 	init  bool // no derived body atoms: fires once at start
-	// rule and recAtoms retain the compilation inputs so Node.Replan can
-	// recompile the plans under a different planner mode.
-	rule     ast.Rule
-	recAtoms []int
 }
 
 // edbNeed records which subset of one base relation a rule's body atom needs
@@ -100,7 +96,7 @@ func (p *Program) PinnedBuckets() []bool {
 	out := make([]bool, len(p.rules))
 	for wi, ws := range p.rules {
 		for _, cr := range ws {
-			if len(cr.rule.Constraints) > 0 {
+			if len(cr.plans[0].Rule.Constraints) > 0 {
 				out[wi] = true
 				break
 			}
@@ -230,7 +226,7 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 				h := hashpart.AsHashFunc(spec.hFor(procID))
 				wr = wr.WithConstraints(ast.NewHashConstraint(h, spec.seq, procID))
 			}
-			cr := compiledRule{head: r.Head.Pred, arity: r.Head.Arity(), rule: wr, recAtoms: recAtoms}
+			cr := compiledRule{head: r.Head.Pred, arity: r.Head.Arity()}
 			if len(recAtoms) == 0 {
 				cr.init = true
 				cr.plans = []*seminaive.Plan{seminaive.Compile(wr, nil)}

@@ -99,10 +99,6 @@ type RunConfig struct {
 	// Sink, when non-nil, receives the run's event stream (iterations,
 	// rule firings, messages, busy/idle transitions, detector probes).
 	Sink obs.EventSink
-	// Planner selects the join-order planner; non-default modes make each
-	// worker recompile its plans against its own fragment cardinalities
-	// (Node.Replan) before evaluation starts.
-	Planner seminaive.PlanMode
 	// Profile arms per-rule runtime counters on every worker and merges them
 	// into Result.Profile with per-processor attribution. Off by default:
 	// the disabled path pays nothing.
@@ -312,7 +308,6 @@ func Run(p *Program, edb relation.Store, cfg RunConfig) (*Result, error) {
 	for wi := 0; wi < n; wi++ {
 		workers[wi] = newWorker(p, wi, global)
 		workers[wi].node.SetSink(cfg.Sink)
-		workers[wi].node.Replan(cfg.Planner)
 		if cfg.Profile {
 			workers[wi].node.EnableProfile()
 		}

@@ -560,44 +560,10 @@ func (ix *Index) growSlots() {
 	ix.mask = mask
 }
 
-// Lookup calls fn with each row id in [lo,hi) whose indexed columns equal
-// vals, in ascending order. fn returning false stops the scan. The index is
-// refreshed first, so rows inserted since IndexOn are visible. fn may
-// insert into the underlying relation: the captured run is immune to
-// relocation, and rows inserted mid-scan have ids >= the relation length at
-// refresh time, hence >= any legal hi.
-func (ix *Index) Lookup(vals []ast.Value, lo, hi int, fn func(row int) bool) {
-	ix.refresh()
-	h := hashVals(vals)
-	i := h & ix.mask
-	var run []int32
-	for {
-		s := ix.slots[i]
-		if s == 0 {
-			return
-		}
-		if e := &ix.entries[s-1]; e.hash == h && ix.keyEqualVals(e, vals) {
-			run = ix.post[e.off : e.off+e.n]
-			break
-		}
-		i = (i + 1) & ix.mask
-	}
-	// Binary search for the first id >= lo; runs are ascending.
-	start := sort.Search(len(run), func(k int) bool { return int(run[k]) >= lo })
-	for _, id := range run[start:] {
-		if int(id) >= hi {
-			return
-		}
-		if !fn(int(id)) {
-			return
-		}
-	}
-}
-
 // Probe returns the ascending run of row ids in [lo,hi) whose indexed
-// columns equal vals, as a shared sub-slice of the postings arena — the
-// capturable form of Lookup that streaming iterators suspend over. Callers
-// must not modify it. The captured run is immune to relocation (abandoned
+// columns equal vals, as a shared sub-slice of the postings arena that a
+// join level suspends over. The index is refreshed first, so rows inserted
+// since IndexOn are visible. Callers must not modify the run. The captured run is immune to relocation (abandoned
 // regions are never reused), and rows inserted after the probe have ids >=
 // the relation length at refresh time, hence >= any legal hi.
 func (ix *Index) Probe(vals []ast.Value, lo, hi int) []int32 {
@@ -616,7 +582,14 @@ func (ix *Index) Probe(vals []ast.Value, lo, hi int) []int32 {
 		}
 		i = (i + 1) & ix.mask
 	}
-	start := sort.Search(len(run), func(k int) bool { return int(run[k]) >= lo })
-	end := start + sort.Search(len(run[start:]), func(k int) bool { return int(run[start+k]) >= hi })
+	// Runs are ascending. Most probes read the whole run, so the binary
+	// searches only run when a window bound cuts into it.
+	start, end := 0, len(run)
+	if end > 0 && int(run[0]) < lo {
+		start = sort.Search(end, func(k int) bool { return int(run[k]) >= lo })
+	}
+	if end > start && int(run[end-1]) >= hi {
+		end = start + sort.Search(end-start, func(k int) bool { return int(run[start+k]) >= hi })
+	}
 	return run[start:end]
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -103,13 +104,8 @@ func TestIndexLookup(t *testing.T) {
 	r.Insert(tup(2, 20))
 	r.Insert(tup(1, 11))
 	ix := r.IndexOn(0)
-	var got []int
-	ix.Lookup([]ast.Value{1}, 0, r.Len(), func(row int) bool {
-		got = append(got, row)
-		return true
-	})
-	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Lookup rows = %v, want [0 2]", got)
+	if got := ix.Probe([]ast.Value{1}, 0, r.Len()); !reflect.DeepEqual(got, []int32{0, 2}) {
+		t.Errorf("Probe rows = %v, want [0 2]", got)
 	}
 }
 
@@ -118,12 +114,7 @@ func TestIndexSeesLaterInserts(t *testing.T) {
 	r.Insert(tup(1, 10))
 	ix := r.IndexOn(0)
 	r.Insert(tup(1, 11)) // inserted after index creation
-	var got []int
-	ix.Lookup([]ast.Value{1}, 0, r.Len(), func(row int) bool {
-		got = append(got, row)
-		return true
-	})
-	if len(got) != 2 {
+	if got := ix.Probe([]ast.Value{1}, 0, r.Len()); len(got) != 2 {
 		t.Errorf("index did not refresh: rows = %v", got)
 	}
 }
@@ -138,31 +129,26 @@ func TestIndexRangeRestriction(t *testing.T) {
 		t.Fatalf("Len = %d", r.Len())
 	}
 	ix := r.IndexOn(0)
-	count := 0
-	ix.Lookup([]ast.Value{0}, 1, 2, func(int) bool { count++; return true })
-	if count != 0 {
-		t.Errorf("range [1,2) matched %d rows for value 0, want 0", count)
+	if got := ix.Probe([]ast.Value{0}, 1, 2); len(got) != 0 {
+		t.Errorf("range [1,2) matched %v for value 0, want none", got)
 	}
-	ix.Lookup([]ast.Value{1}, 1, 2, func(int) bool { count++; return true })
-	if count != 1 {
-		t.Errorf("range [1,2) matched %d rows for value 1, want 1", count)
+	if got := ix.Probe([]ast.Value{1}, 1, 2); len(got) != 1 {
+		t.Errorf("range [1,2) matched %v for value 1, want one row", got)
 	}
 }
 
+// TestIndexEarlyStop checks the zero-column index: every row lands in one
+// run, and the row window stops it early.
 func TestIndexEarlyStop(t *testing.T) {
 	r := New(1)
 	r.Insert(tup(1))
-	r2 := New(2)
-	_ = r2
 	r.Insert(tup(2))
-	ix := r.IndexOn() // zero-column index: all rows in one bucket
-	var got []int
-	ix.Lookup(nil, 0, r.Len(), func(row int) bool {
-		got = append(got, row)
-		return false // stop after first
-	})
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("early stop rows = %v", got)
+	ix := r.IndexOn()
+	if got := ix.Probe(nil, 0, r.Len()); !reflect.DeepEqual(got, []int32{0, 1}) {
+		t.Errorf("zero-column run = %v", got)
+	}
+	if got := ix.Probe(nil, 0, 1); !reflect.DeepEqual(got, []int32{0}) {
+		t.Errorf("windowed zero-column run = %v", got)
 	}
 }
 
@@ -172,15 +158,53 @@ func TestIndexMultiColumn(t *testing.T) {
 	r.Insert(tup(1, 2, 4))
 	r.Insert(tup(1, 3, 3))
 	ix := r.IndexOn(0, 1)
-	count := 0
-	ix.Lookup([]ast.Value{1, 2}, 0, r.Len(), func(int) bool { count++; return true })
-	if count != 2 {
-		t.Errorf("multi-column lookup matched %d rows, want 2", count)
+	if got := ix.Probe([]ast.Value{1, 2}, 0, r.Len()); len(got) != 2 {
+		t.Errorf("multi-column probe matched %v, want 2 rows", got)
 	}
 }
 
-// Property: inserting any multiset of tuples yields a relation whose Len
-// equals the number of distinct tuples, and Contains agrees with the set.
+// TestProbeStream reads probed runs back through Row, the way a join level
+// streams them: matching tuples in insertion order, restricted to the
+// window, and every row for a zero-column index.
+func TestProbeStream(t *testing.T) {
+	r := FromTuples(2, [][]ast.Value{{0, 1}, {0, 2}, {1, 2}, {0, 3}})
+	rows := func(run []int32) []Tuple {
+		var out []Tuple
+		for _, id := range run {
+			out = append(out, r.Row(int(id)))
+		}
+		return out
+	}
+	ix := r.IndexOn(0)
+	if got, want := rows(ix.Probe([]ast.Value{0}, 0, r.Len())), []Tuple{{0, 1}, {0, 2}, {0, 3}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("probe = %v, want %v", got, want)
+	}
+	if got, want := rows(ix.Probe([]ast.Value{0}, 1, 3)), []Tuple{{0, 2}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("windowed probe = %v, want %v", got, want)
+	}
+	if got := rows(ix.Probe([]ast.Value{9}, 0, r.Len())); len(got) != 0 {
+		t.Fatalf("miss probe returned %v", got)
+	}
+	if got := rows(r.IndexOn().Probe(nil, 0, r.Len())); len(got) != 4 {
+		t.Fatalf("zero-column probe returned %d tuples", len(got))
+	}
+}
+
+func TestIndexProbeRunWindow(t *testing.T) {
+	r := FromTuples(2, [][]ast.Value{{7, 1}, {7, 2}, {8, 1}, {7, 3}})
+	ix := r.IndexOn(0)
+	run := ix.Probe([]ast.Value{7}, 0, r.Len())
+	if want := []int32{0, 1, 3}; !reflect.DeepEqual(run, want) {
+		t.Fatalf("full run = %v, want %v", run, want)
+	}
+	if run := ix.Probe([]ast.Value{7}, 1, 3); !reflect.DeepEqual(run, []int32{1}) {
+		t.Fatalf("windowed run = %v", run)
+	}
+	if run := ix.Probe([]ast.Value{99}, 0, r.Len()); len(run) != 0 {
+		t.Fatalf("miss run = %v", run)
+	}
+}
+
 func TestInsertSetSemanticsProperty(t *testing.T) {
 	f := func(raw [][2]uint8) bool {
 		r := New(2)
@@ -204,7 +228,7 @@ func TestInsertSetSemanticsProperty(t *testing.T) {
 	}
 }
 
-// Property: index lookup returns exactly the rows whose column matches.
+// Property: an index probe returns exactly the rows whose column matches.
 func TestIndexAgreesWithScanProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -215,15 +239,11 @@ func TestIndexAgreesWithScanProperty(t *testing.T) {
 		}
 		ix := r.IndexOn(1)
 		for v := ast.Value(0); v < 8; v++ {
-			var fromIndex []int
-			ix.Lookup([]ast.Value{v}, 0, r.Len(), func(row int) bool {
-				fromIndex = append(fromIndex, row)
-				return true
-			})
-			var fromScan []int
+			fromIndex := ix.Probe([]ast.Value{v}, 0, r.Len())
+			var fromScan []int32
 			for i, row := range r.Rows() {
 				if row[1] == v {
-					fromScan = append(fromScan, i)
+					fromScan = append(fromScan, int32(i))
 				}
 			}
 			if len(fromIndex) != len(fromScan) {
@@ -246,7 +266,7 @@ func BenchmarkInsertDistinct(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexLookup(b *testing.B) {
+func BenchmarkIndexProbe(b *testing.B) {
 	r := New(2)
 	for i := 0; i < 10000; i++ {
 		r.Insert(tup(ast.Value(i%100), ast.Value(i)))
@@ -254,9 +274,11 @@ func BenchmarkIndexLookup(b *testing.B) {
 	ix := r.IndexOn(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Lookup([]ast.Value{ast.Value(i % 100)}, 0, r.Len(), func(int) bool { return true })
+		benchRun = ix.Probe([]ast.Value{ast.Value(i % 100)}, 0, r.Len())
 	}
 }
+
+var benchRun []int32
 
 func TestRowAndString(t *testing.T) {
 	r := FromTuples(2, [][]ast.Value{{2, 1}, {1, 2}})

@@ -23,11 +23,6 @@ type Options struct {
 	// Sink, when non-nil, receives the evaluation's event stream; the
 	// sequential engine reports as processor 0.
 	Sink obs.EventSink
-	// Planner selects the join-order planner for compiled rule plans;
-	// PlanBoundness (the zero value) is the legacy order that golden traces
-	// pin. PlanGreedy additionally consults relation cardinalities at
-	// compile time.
-	Planner PlanMode
 	// OnPlan, when non-nil, observes every compiled plan (one call per
 	// delta variant) — the hook Result.Explain() is built on.
 	OnPlan func(*Plan)
@@ -37,21 +32,10 @@ type Options struct {
 	Profile bool
 }
 
-// planConfig builds the compile-time configuration, sampling relation
-// cardinalities from store. Lower-SCC cardinalities are exact by the time a
-// rule compiles, because SCCs evaluate in topological order.
-func (o Options) planConfig(store relation.Store) PlanConfig {
-	return PlanConfig{Mode: o.Planner, Card: func(pred string) int {
-		if rel, ok := store[pred]; ok {
-			return rel.Len()
-		}
-		return 0
-	}}
-}
-
-// observePlan reports a freshly compiled plan to the OnPlan hook and the
-// event stream.
-func (o Options) observePlan(p *Plan) *Plan {
+// observePlan records a freshly compiled plan's relation sizes in store
+// and reports it to the OnPlan hook and the event stream.
+func (o Options) observePlan(p *Plan, store relation.Store) *Plan {
+	p.recordPlanned(store)
 	if o.OnPlan != nil {
 		o.OnPlan(p)
 	}
@@ -221,9 +205,8 @@ func evalSCC(prog *ast.Program, nonRec, rec []ast.Rule, inSCC map[string]bool, s
 		opts.Sink.IterationStart(0, 0)
 	}
 	newBeforeInit := stats.New
-	cfg := opts.planConfig(store)
 	for _, r := range nonRec {
-		plan := opts.observePlan(CompileWith(r, nil, cfg))
+		plan := opts.observePlan(Compile(r, nil), store)
 		head := r.Head.Pred
 		rel := store.Get(head, r.Head.Arity())
 		newBefore := stats.New
@@ -277,9 +260,9 @@ func evalSCC(prog *ast.Program, nonRec, rec []ast.Rule, inSCC map[string]bool, s
 				recAtoms = append(recAtoms, j)
 			}
 		}
-		plans := DeltaVariantsWith(r, recAtoms, cfg)
+		plans := DeltaVariants(r, recAtoms)
 		for _, pl := range plans {
-			opts.observePlan(pl)
+			opts.observePlan(pl, store)
 		}
 		c := compiled{
 			plans: plans,
@@ -389,10 +372,9 @@ func evalSCC(prog *ast.Program, nonRec, rec []ast.Rule, inSCC map[string]bool, s
 // evalNaive iterates every rule over the full store until fixpoint.
 func evalNaive(prog *ast.Program, rules []ast.Rule, store relation.Store, stats *Stats, opts Options) error {
 	plans := make([]*Plan, len(rules))
-	cfg := opts.planConfig(store)
 	rps := make([]*RuleProfile, len(rules))
 	for i, r := range rules {
-		plans[i] = opts.observePlan(CompileWith(r, nil, cfg))
+		plans[i] = opts.observePlan(Compile(r, nil), store)
 		if stats.Profile != nil {
 			rps[i] = stats.Profile.Rule(ProfileKey(prog, r), r.Head.Pred)
 			plans[i].EnableProfile()

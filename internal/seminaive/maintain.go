@@ -65,12 +65,14 @@ type IVM struct {
 	store   relation.Store
 	sup     map[string][]uint8 // per-row base-support bits, parallel to rows
 	opts    Options
-	cfg     PlanConfig
 
-	headRules map[string][]ast.Rule // rules grouped by head predicate
-	sccs      [][]string
-	sccRules  [][]ast.Rule // rules whose head is in SCC i
-	inSCC     []map[string]bool
+	// countPlans holds, per head predicate, one head-bound plan per rule
+	// (compileHeadBound): the derivation counter of rederivation seeding,
+	// the exact recount and Audit.
+	countPlans map[string][]*Plan
+	sccs       [][]string
+	sccRules   [][]ast.Rule // rules whose head is in SCC i
+	inSCC      []map[string]bool
 
 	delPlans    []delPlan // overdeletion variants, one per (rule, body pos)
 	revivePlans [][]*Plan // rederivation delta variants, per rule
@@ -112,27 +114,21 @@ func NewIVM(prog *ast.Program, edb relation.Store, opts Options) (*IVM, *Stats, 
 	}
 
 	m := &IVM{
-		prog:      prog,
-		rules:     rules,
-		arities:   arities,
-		store:     relation.Store{},
-		sup:       map[string][]uint8{},
-		opts:      opts,
-		headRules: map[string][]ast.Rule{},
+		prog:       prog,
+		rules:      rules,
+		arities:    arities,
+		store:      relation.Store{},
+		sup:        map[string][]uint8{},
+		opts:       opts,
+		countPlans: map[string][]*Plan{},
 	}
-	m.cfg = PlanConfig{Mode: opts.Planner, Card: func(pred string) int {
-		if rel, ok := m.store[pred]; ok {
-			return rel.Len()
-		}
-		return 0
-	}}
 	for pred, ar := range arities {
 		rel := relation.New(ar)
 		rel.EnableCounts(0)
 		m.store[pred] = rel
 	}
 	for _, r := range rules {
-		m.headRules[r.Head.Pred] = append(m.headRules[r.Head.Pred], r)
+		m.countPlans[r.Head.Pred] = append(m.countPlans[r.Head.Pred], compileHeadBound(r))
 	}
 
 	// Base supports: the EDB input and the program's facts.
@@ -171,7 +167,7 @@ func NewIVM(prog *ast.Program, edb relation.Store, opts Options) (*IVM, *Stats, 
 
 	// Overdeletion variants: p@del :- a1, …, ai@del, …, ak — one per body
 	// position, delta on the @del atom, every other atom reading the full
-	// pre-deletion extent. Set semantics, so planner exactness is not
+	// pre-deletion extent. Set semantics, so delta exactness is not
 	// needed; compiled once, reused by every Apply.
 	for _, r := range rules {
 		for i := range r.Body {
@@ -185,7 +181,7 @@ func NewIVM(prog *ast.Program, edb relation.Store, opts Options) (*IVM, *Stats, 
 			ranges[i] = RangeDelta
 			m.delPlans = append(m.delPlans, delPlan{
 				head: r.Head.Pred,
-				plan: CompileWith(dr, ranges, PlanConfig{Mode: m.cfg.Mode}),
+				plan: Compile(dr, ranges),
 			})
 		}
 	}
@@ -197,7 +193,7 @@ func NewIVM(prog *ast.Program, edb relation.Store, opts Options) (*IVM, *Stats, 
 		for i := range all {
 			all[i] = i
 		}
-		m.revivePlans[ri] = DeltaVariantsWith(r, all, PlanConfig{Mode: m.cfg.Mode})
+		m.revivePlans[ri] = DeltaVariants(r, all)
 	}
 
 	stats, err := m.materialize()
@@ -225,7 +221,7 @@ func (m *IVM) SnapshotStore() relation.Store {
 // the only predicates Apply accepts deltas for.
 func (m *IVM) IsEDB(pred string) bool {
 	_, ok := m.store[pred]
-	return ok && len(m.headRules[pred]) == 0
+	return ok && len(m.countPlans[pred]) == 0
 }
 
 // Arity returns pred's arity, or -1 if unknown.
@@ -295,7 +291,7 @@ func (m *IVM) materialize() (*Stats, error) {
 		}
 
 		for _, r := range nonRec {
-			plan := CompileWith(r, nil, m.cfg)
+			plan := Compile(r, nil)
 			rel := m.store[r.Head.Pred]
 			buf := make(relation.Tuple, r.Head.Arity())
 			n := plan.Enumerate(m.store, nil, func(vals []ast.Value) bool {
@@ -314,7 +310,7 @@ func (m *IVM) materialize() (*Stats, error) {
 
 		var plans [][]*Plan
 		for ri, r := range rec {
-			plans = append(plans, DeltaVariantsWith(r, recAtoms[ri], m.cfg))
+			plans = append(plans, DeltaVariants(r, recAtoms[ri]))
 		}
 		w := &Watermarks{Prev: map[string]int{}, Cur: map[string]int{}}
 		for p := range m.inSCC[i] {
@@ -593,105 +589,31 @@ func (m *IVM) applyDeletes(deletes map[string][]relation.Tuple, st *MaintainStat
 }
 
 // countDerivations counts the successful ground substitutions of rules with
-// head pred deriving exactly t, over the current live extent. With
-// earlyExit it stops at the first one (the existence check the rederivation
-// seed needs). The firings are charged to st as maintenance work.
+// head pred deriving exactly t, over the current live extent, by running
+// each rule's head-bound plan with the head variables taken from t. With
+// earlyExit it stops at the first one (the existence check the
+// rederivation seed needs). The firings are charged to st as maintenance
+// work.
 func (m *IVM) countDerivations(pred string, t relation.Tuple, earlyExit bool, st *MaintainStats) int32 {
-	var total int32
-	for _, r := range m.headRules[pred] {
-		bind := map[string]ast.Value{}
-		ok := true
-		for i, arg := range r.Head.Args {
-			if !arg.IsVar() {
-				if arg.Value != t[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			if v, seen := bind[arg.VarName]; seen {
-				if v != t[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			bind[arg.VarName] = t[i]
-		}
-		if !ok {
+	var total int64
+	for _, p := range m.countPlans[pred] {
+		var c Cursor
+		c.open(p, m.store, nil)
+		if !p.bindHead(t, c.vals) {
 			continue
 		}
-		total += m.countBody(r.Body, 0, bind, earlyExit, st)
-		if earlyExit && total > 0 {
-			return total
-		}
-	}
-	return total
-}
-
-// countBody recursively joins body[k:] under the bindings, counting
-// satisfying ground substitutions over the live extent.
-func (m *IVM) countBody(body []ast.Atom, k int, bind map[string]ast.Value, earlyExit bool, st *MaintainStats) int32 {
-	if k == len(body) {
-		st.Firings++
-		return 1
-	}
-	a := body[k]
-	rel, ok := m.store[a.Pred]
-	if !ok || rel.Len() == 0 {
-		return 0
-	}
-	var boundCols []int
-	var boundVals []ast.Value
-	for i, arg := range a.Args {
-		if !arg.IsVar() {
-			boundCols = append(boundCols, i)
-			boundVals = append(boundVals, arg.Value)
-		} else if v, seen := bind[arg.VarName]; seen {
-			boundCols = append(boundCols, i)
-			boundVals = append(boundVals, v)
-		}
-	}
-	var total int32
-	visit := func(row int) bool {
-		if !rel.Alive(row) {
-			return true
-		}
-		tuple := rel.Row(row)
-		var fresh []string
-		match := true
-		for i, arg := range a.Args {
-			if !arg.IsVar() {
-				continue
-			}
-			if v, seen := bind[arg.VarName]; seen {
-				if v != tuple[i] {
-					match = false
-					break
-				}
-				continue
-			}
-			bind[arg.VarName] = tuple[i]
-			fresh = append(fresh, arg.VarName)
-		}
-		if match {
-			total += m.countBody(body, k+1, bind, earlyExit, st)
-		}
-		for _, v := range fresh {
-			delete(bind, v)
-		}
-		return !(earlyExit && total > 0)
-	}
-	if len(boundCols) == 0 {
-		for row := 0; row < rel.NumRows(); row++ {
-			if !visit(row) {
+		for c.Next() {
+			if earlyExit {
 				break
 			}
 		}
-	} else {
-		rel.IndexOn(boundCols...).Lookup(boundVals, 0, rel.NumRows(), visit)
+		st.Firings += c.fired
+		total += c.fired
+		if earlyExit && total > 0 {
+			break
+		}
 	}
-	return total
+	return int32(total)
 }
 
 // applyInserts adds EDB support for the batch and propagates the newly-live
@@ -768,7 +690,7 @@ func (m *IVM) applyInserts(inserts map[string][]relation.Tuple, st *MaintainStat
 		for _, rd := range rds {
 			cs = append(cs, compiled{
 				head:  rd.r.Head.Pred,
-				plans: DeltaVariantsWith(rd.r, rd.deltaPos, m.cfg),
+				plans: DeltaVariants(rd.r, rd.deltaPos),
 				lower: rd.lower,
 			})
 		}

@@ -249,51 +249,69 @@ func TestIVMSnapshotIsolation(t *testing.T) {
 	}
 }
 
+// headShapeRules gives the counting path the heads it binds before the
+// join: head constants, a repeated head variable, several rules with one
+// head (mix's three shapes must not count each other's tuples), and cyclic
+// bodies.
+const headShapeRules = `
+anc(X, Y) :- par(X, Y).
+anc(X, Y) :- anc(X, Z), anc(Z, Y).
+from1(v1, Y) :- par(v1, Y).
+from1(v1, Y) :- from1(v1, Z), par(Z, Y).
+mix(X, X) :- anc(X, Y).
+mix(v1, Y) :- par(Y, Z).
+mix(X, Y) :- par(X, Y), par(Y, X).
+cyc(X) :- anc(X, Y), anc(Y, X).
+`
+
 // TestIVMRandomBatches drives randomized insert/delete batches over a random
-// graph and checks the maintained model against from-scratch evaluation
-// after every batch — the unit-level twin of the root differential test.
+// graph and checks the maintained model against from-scratch evaluation,
+// and the counting invariant, after every batch — the unit-level twin of
+// the root differential test.
 func TestIVMRandomBatches(t *testing.T) {
 	const nodes = 12
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		prog := parser.MustParse(nonlinearAncestorRules)
-		present := map[[2]int]bool{}
-		var pairs [][2]int
-		for i := 0; i < 20; i++ {
-			e := [2]int{rng.Intn(nodes), rng.Intn(nodes)}
-			if !present[e] {
-				present[e] = true
-				pairs = append(pairs, e)
-			}
-		}
-		edb := edges(prog, "par", pairs)
-		m, _, err := NewIVM(prog, edb, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for batch := 0; batch < 4; batch++ {
-			ins := map[string][]relation.Tuple{}
-			del := map[string][]relation.Tuple{}
-			for i := 0; i < 4; i++ {
+	for _, src := range []string{nonlinearAncestorRules, headShapeRules} {
+		for seed := int64(0); seed < 8; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			prog := parser.MustParse(src)
+			present := map[[2]int]bool{}
+			var pairs [][2]int
+			for i := 0; i < 20; i++ {
 				e := [2]int{rng.Intn(nodes), rng.Intn(nodes)}
-				if present[e] && rng.Intn(2) == 0 {
-					present[e] = false
-					del["par"] = append(del["par"], pair(prog, e[0], e[1]))
-				} else if !present[e] {
+				if !present[e] {
 					present[e] = true
-					ins["par"] = append(ins["par"], pair(prog, e[0], e[1]))
+					pairs = append(pairs, e)
 				}
 			}
-			if _, err := m.Apply(del, ins); err != nil {
-				t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+			edb := edges(prog, "par", pairs)
+			m, _, err := NewIVM(prog, edb, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			var cur [][2]int
-			for e, ok := range present {
-				if ok {
-					cur = append(cur, e)
+			for batch := 0; batch < 4; batch++ {
+				ins := map[string][]relation.Tuple{}
+				del := map[string][]relation.Tuple{}
+				for i := 0; i < 4; i++ {
+					e := [2]int{rng.Intn(nodes), rng.Intn(nodes)}
+					if present[e] && rng.Intn(2) == 0 {
+						present[e] = false
+						del["par"] = append(del["par"], pair(prog, e[0], e[1]))
+					} else if !present[e] {
+						present[e] = true
+						ins["par"] = append(ins["par"], pair(prog, e[0], e[1]))
+					}
 				}
+				if _, err := m.Apply(del, ins); err != nil {
+					t.Fatalf("seed %d batch %d: %v", seed, batch, err)
+				}
+				var cur [][2]int
+				for e, ok := range present {
+					if ok {
+						cur = append(cur, e)
+					}
+				}
+				checkAgainstEval(t, m, prog, edges(prog, "par", cur))
 			}
-			checkAgainstEval(t, m, prog, edges(prog, "par", cur))
 		}
 	}
 }

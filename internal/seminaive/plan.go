@@ -56,50 +56,6 @@ func (w *Watermarks) bounds(pred string, kind RangeKind, n int) (lo, hi int) {
 	}
 }
 
-// PlanMode selects the join-order planner.
-type PlanMode int
-
-const (
-	// PlanBoundness is the legacy order: start at the first delta atom (or
-	// atom 0) and greedily append the atom with the most bound argument
-	// positions, lowest body index on ties. Cardinalities are ignored, so
-	// plans depend only on the rule text — the mode golden and lockstep
-	// traces are pinned against.
-	PlanBoundness PlanMode = iota
-	// PlanGreedy refines PlanBoundness with relation cardinalities: among
-	// equally bound atoms the smaller relation joins first, and when no
-	// delta atom dictates the start, the start atom is the one with the
-	// most constant arguments and then the smallest relation. Statistics
-	// free and deterministic: boundness desc, cardinality asc, body
-	// position asc.
-	PlanGreedy
-	// PlanLeftToRight joins body atoms in strict textual order — the
-	// ablation baseline the planner is measured against.
-	PlanLeftToRight
-)
-
-// String names the mode for reports and explain output.
-func (m PlanMode) String() string {
-	switch m {
-	case PlanGreedy:
-		return "greedy"
-	case PlanLeftToRight:
-		return "left-to-right"
-	default:
-		return "boundness"
-	}
-}
-
-// PlanConfig parameterizes plan compilation. The zero value reproduces the
-// legacy planner exactly.
-type PlanConfig struct {
-	Mode PlanMode
-	// Card reports a predicate's relation cardinality at compile time;
-	// nil means unknown (PlanGreedy then degrades to PlanBoundness order).
-	// Called only while compiling — plans never consult it at run time.
-	Card func(pred string) int
-}
-
 // Plan is a compiled evaluation strategy for one rule variant: a join order
 // over the body atoms, the range each atom reads, slot-compiled variable
 // access (no maps on the hot path), and the earliest point at which each
@@ -111,8 +67,6 @@ type Plan struct {
 	// Ranges[i] is the range kind for body atom i (indexed by body position,
 	// not execution position).
 	Ranges []RangeKind
-	// Mode is the planner mode the plan was compiled under.
-	Mode PlanMode
 
 	slotOf map[string]int // variable name → dense slot
 	atoms  []atomExec     // one per Order entry
@@ -125,9 +79,12 @@ type Plan struct {
 	// constraintPos[k] is the execution position at which the k-th rule
 	// constraint is checked; -1 for variable-free pre-join checks.
 	constraintPos []int
-	// planned[k] is the cardinality the planner saw for execution position
-	// k's relation at compile time; -1 when compiled without statistics.
+	// planned[k] is execution position k's relation size when the rule
+	// compiled (recordPlanned); -1 when no store was consulted.
 	planned []int64
+	// scratch is the widest key, constraint argument list or negation probe
+	// the cursor assembles, so one buffer serves them all.
+	scratch int
 	// prof holds runtime counters, armed by EnableProfile; nil (the
 	// default) keeps the enumeration loops on the zero-overhead path.
 	prof *planProfile
@@ -178,38 +135,70 @@ type compiledNegation struct {
 }
 
 // Compile builds a plan for rule with the given per-atom ranges (nil for an
-// all-RangeFull plan) under the legacy PlanBoundness order: start from the
-// first delta atom (or atom 0) and greedily append the atom with the most
-// bound argument positions. Rules may carry *ast.HashConstraint conditions;
-// other Constraint implementations are rejected.
+// all-RangeFull plan). The join starts at the first delta atom (or atom 0)
+// and greedily appends the atom with the most bound argument positions,
+// lowest body index on ties — a function of the rule text alone, so
+// repeated compiles and lockstep replays agree. Constraints are pushed to
+// the earliest execution position at which their variables are bound.
+// Rules may carry *ast.HashConstraint conditions; other Constraint
+// implementations are rejected.
 func Compile(rule ast.Rule, ranges []RangeKind) *Plan {
-	return CompileWith(rule, ranges, PlanConfig{})
+	return compile(rule, ranges, nil)
 }
 
-// chooseOrder picks the execution order of the body atoms under cfg. All
-// modes are deterministic functions of (rule, ranges, cardinalities), so
-// repeated compiles — and lockstep replays — agree.
-func chooseOrder(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) []int {
-	n := len(rule.Body)
-	order := make([]int, 0, n)
-	if cfg.Mode == PlanLeftToRight {
-		for i := 0; i < n; i++ {
-			order = append(order, i)
+// compileHeadBound builds the all-RangeFull plan that counts rule's
+// derivations of one given head tuple: the head variables are bound before
+// the join (bindHead writes them), so the body runs as index probes on
+// them. This is the plan the IVM's rederivation and recount run.
+func compileHeadBound(rule ast.Rule) *Plan {
+	return compile(rule, nil, rule.Head.Vars(nil))
+}
+
+// bindHead writes the head-bound slots of a compileHeadBound plan from
+// tuple t into vals and reports whether t can match the head at all: a head
+// constant must equal t's column, and a repeated head variable must see
+// equal values. Head variables own slots 0..k-1 in first-occurrence order,
+// so a slot equal to the count bound so far is a first occurrence.
+func (p *Plan) bindHead(t relation.Tuple, vals []ast.Value) bool {
+	next := 0
+	for i, h := range p.head {
+		switch {
+		case h.slot < 0:
+			if t[i] != h.value {
+				return false
+			}
+		case h.slot == next:
+			vals[h.slot] = t[i]
+			next++
+		case vals[h.slot] != t[i]:
+			return false
 		}
-		return order
 	}
-	card := func(i int) int {
-		if cfg.Card == nil {
-			return 1 << 30
+	return true
+}
+
+// chooseOrder picks the execution order of the body atoms. pre holds the
+// variables bound before the join starts.
+func chooseOrder(rule ast.Rule, ranges []RangeKind, pre map[string]bool) []int {
+	n := len(rule.Body)
+	bound := make(map[string]bool, len(pre))
+	for v := range pre {
+		bound[v] = true
+	}
+	score := func(i int) int {
+		s := 0
+		for _, t := range rule.Body[i].Args {
+			if !t.IsVar() || bound[t.VarName] {
+				s++
+			}
 		}
-		return cfg.Card(rule.Body[i].Pred)
+		return s
 	}
 
 	// Start atom: the delta atom when one exists (each delta variant has at
 	// most one, and starting there keeps the enumeration proportional to the
-	// delta). Otherwise atom 0, unless PlanGreedy finds a more selective
-	// seed: most constant arguments, then smallest relation, then lowest
-	// body index.
+	// delta). Otherwise the atom with the most pre-bound variables, which
+	// is atom 0 when nothing is pre-bound.
 	first := -1
 	for i, k := range ranges {
 		if k == RangeDelta {
@@ -219,24 +208,22 @@ func chooseOrder(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) []int {
 	}
 	if first < 0 {
 		first = 0
-		if cfg.Mode == PlanGreedy {
-			bestConsts, bestCard := -1, 0
-			for i := 0; i < n; i++ {
-				consts := 0
-				for _, t := range rule.Body[i].Args {
-					if !t.IsVar() {
-						consts++
-					}
+		best := 0
+		for i, a := range rule.Body {
+			c := 0
+			for _, t := range a.Args {
+				if t.IsVar() && pre[t.VarName] {
+					c++
 				}
-				if consts > bestConsts || (consts == bestConsts && card(i) < bestCard) {
-					first, bestConsts, bestCard = i, consts, card(i)
-				}
+			}
+			if c > best {
+				first, best = i, c
 			}
 		}
 	}
 
+	order := make([]int, 0, n)
 	used := make([]bool, n)
-	bound := map[string]bool{}
 	take := func(i int) {
 		used[i] = true
 		order = append(order, i)
@@ -248,23 +235,10 @@ func chooseOrder(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) []int {
 	}
 	take(first)
 	for len(order) < n {
-		best, bestScore, bestCard := -1, -1, 0
+		best, bestScore := -1, -1
 		for i := 0; i < n; i++ {
-			if used[i] {
-				continue
-			}
-			score := 0
-			for _, t := range rule.Body[i].Args {
-				if !t.IsVar() || bound[t.VarName] {
-					score++
-				}
-			}
-			better := score > bestScore
-			if !better && cfg.Mode == PlanGreedy && score == bestScore && card(i) < bestCard {
-				better = true
-			}
-			if better {
-				best, bestScore, bestCard = i, score, card(i)
+			if s := score(i); !used[i] && s > bestScore {
+				best, bestScore = i, s
 			}
 		}
 		take(best)
@@ -272,16 +246,14 @@ func chooseOrder(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) []int {
 	return order
 }
 
-// CompileWith builds a plan for rule with the given per-atom ranges (nil for
-// an all-RangeFull plan) under the planner configuration cfg. Constraints
-// are pushed to the earliest execution position at which their variables
-// are bound, whatever order the planner picked.
-func CompileWith(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) *Plan {
+// compile is Compile with the variables pre bound before the join; they
+// take slots 0..len(pre)-1 in order.
+func compile(rule ast.Rule, ranges []RangeKind, pre []string) *Plan {
 	n := len(rule.Body)
 	if ranges == nil {
 		ranges = make([]RangeKind, n)
 	}
-	p := &Plan{Rule: rule, Ranges: ranges, Mode: cfg.Mode, slotOf: make(map[string]int)}
+	p := &Plan{Rule: rule, Ranges: ranges, slotOf: make(map[string]int)}
 
 	slot := func(name string) int {
 		if s, ok := p.slotOf[name]; ok {
@@ -291,22 +263,22 @@ func CompileWith(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) *Plan {
 		p.slotOf[name] = s
 		return s
 	}
+	boundSlot := make(map[string]bool, len(pre))
+	for _, v := range pre {
+		slot(v)
+		boundSlot[v] = true
+	}
 
 	if n > 0 {
-		p.Order = chooseOrder(rule, ranges, cfg)
+		p.Order = chooseOrder(rule, ranges, boundSlot)
 	}
 
 	// Compile the atoms against the boundness state along the order.
-	boundSlot := map[string]bool{}
 	p.atoms = make([]atomExec, len(p.Order))
 	p.planned = make([]int64, len(p.Order))
 	for k, idx := range p.Order {
 		atom := rule.Body[idx]
-		if cfg.Card != nil {
-			p.planned[k] = int64(cfg.Card(atom.Pred))
-		} else {
-			p.planned[k] = -1
-		}
+		p.planned[k] = -1
 		ae := atomExec{pred: atom.Pred, kind: ranges[idx]}
 		seenHere := map[string]int{} // var → slot bound earlier in this atom
 		for ci, t := range atom.Args {
@@ -331,6 +303,7 @@ func CompileWith(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) *Plan {
 			boundSlot[v] = true
 		}
 		p.atoms[k] = ae
+		p.scratch = max(p.scratch, len(ae.boundSrc))
 	}
 
 	// Head access.
@@ -354,6 +327,7 @@ func CompileWith(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) *Plan {
 		for _, v := range hc.Args {
 			cc.slots = append(cc.slots, slot(v))
 		}
+		p.scratch = max(p.scratch, len(cc.slots))
 		if len(hc.Args) == 0 || n == 0 {
 			p.zeroChecks = append(p.zeroChecks, cc)
 			p.constraintPos = append(p.constraintPos, -1)
@@ -375,6 +349,7 @@ func CompileWith(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) *Plan {
 				cn.src[i] = slotOrConst{slot: -1, value: t.Value}
 			}
 		}
+		p.scratch = max(p.scratch, len(cn.src))
 		vars := a.Vars(nil)
 		if len(vars) == 0 || n == 0 {
 			p.zeroNegs = append(p.zeroNegs, cn)
@@ -384,6 +359,18 @@ func CompileWith(rule ast.Rule, ranges []RangeKind, cfg PlanConfig) *Plan {
 		p.atoms[pos].negations = append(p.atoms[pos].negations, cn)
 	}
 	return p
+}
+
+// recordPlanned notes each execution position's relation size in store —
+// the planned= column of explain-analyze. Lower-SCC sizes are exact by the
+// time a rule compiles, because SCCs evaluate in topological order.
+func (p *Plan) recordPlanned(store relation.Store) {
+	for k, ae := range p.atoms {
+		p.planned[k] = 0
+		if rel, ok := store[ae.pred]; ok {
+			p.planned[k] = int64(rel.Len())
+		}
+	}
 }
 
 // Moved reports how many body atoms execute at a position different from
@@ -453,137 +440,14 @@ func earliestCovered(rule ast.Rule, order []int, vars []string) int {
 // false stops the enumeration. The number of successful substitutions is
 // returned.
 func (p *Plan) Enumerate(store relation.Store, w *Watermarks, fn func(vals []ast.Value) bool) int64 {
-	vals := make([]ast.Value, len(p.slotOf))
-	hargs := make([]ast.Value, 0, 8)
-	negBuf := make(relation.Tuple, 0, 8)
-
-	check := func(cc compiledConstraint) bool {
-		hargs = hargs[:0]
-		for _, s := range cc.slots {
-			hargs = append(hargs, vals[s])
-		}
-		return cc.h.Fn(hargs) == cc.proc
-	}
-	// negAbsent reports whether the ground instance of the negated atom is
-	// absent — a missing relation counts as empty.
-	negAbsent := func(cn compiledNegation) bool {
-		rel, ok := store[cn.pred]
-		if !ok || rel.Len() == 0 {
-			return true
-		}
-		negBuf = negBuf[:0]
-		for _, s := range cn.src {
-			if s.slot >= 0 {
-				negBuf = append(negBuf, vals[s.slot])
-			} else {
-				negBuf = append(negBuf, s.value)
-			}
-		}
-		return !rel.Contains(negBuf)
-	}
-
-	for _, cc := range p.zeroChecks {
-		if len(cc.slots) > 0 {
-			// Zero-position constraints with variables only occur for empty
-			// bodies, where safety forbids variables; defensive.
-			panic("seminaive: constraint on unbound variables")
-		}
-		if !check(cc) {
-			return 0
+	var c Cursor
+	c.open(p, store, w)
+	for c.Next() {
+		if !fn(c.vals) {
+			break
 		}
 	}
-	for _, cn := range p.zeroNegs {
-		if !negAbsent(cn) {
-			return 0
-		}
-	}
-	if len(p.atoms) == 0 {
-		// A bodiless rule (ground head, by safety) fires once.
-		if !fn(vals) {
-			return 1
-		}
-		return 1
-	}
-
-	var fired int64
-	stopped := false
-	lookupVals := make([]ast.Value, 0, 8)
-	prof := p.prof
-
-	var step func(k int)
-	step = func(k int) {
-		if stopped {
-			return
-		}
-		if k == len(p.atoms) {
-			fired++
-			if !fn(vals) {
-				stopped = true
-			}
-			return
-		}
-		ae := &p.atoms[k]
-		rel, ok := store[ae.pred]
-		if !ok || rel.Len() == 0 {
-			return
-		}
-		lo, hi := w.bounds(ae.pred, ae.kind, rel.NumRows())
-		if lo >= hi {
-			return
-		}
-		lookupVals = lookupVals[:0]
-		for _, src := range ae.boundSrc {
-			if src.slot >= 0 {
-				lookupVals = append(lookupVals, vals[src.slot])
-			} else {
-				lookupVals = append(lookupVals, src.value)
-			}
-		}
-		var pa *AtomProfile
-		if prof != nil {
-			pa = &prof.atoms[k]
-			pa.Probes++
-		}
-		ix := rel.IndexOn(ae.boundCols...)
-		ix.Lookup(lookupVals, lo, hi, func(row int) bool {
-			if !rel.Alive(row) {
-				// Counted relations (view maintenance) keep dead rows in the
-				// arena; joins see only the live extent.
-				return true
-			}
-			if pa != nil {
-				pa.Rows++
-			}
-			tuple := rel.Row(row)
-			for ci, col := range ae.freeCols {
-				vals[ae.freeSlots[ci]] = tuple[col]
-			}
-			// check columns repeat a variable first bound by an earlier
-			// column of this same atom, so they compare after the binds.
-			for ci, col := range ae.checkCols {
-				if tuple[col] != vals[ae.checkSlots[ci]] {
-					return true
-				}
-			}
-			for _, cc := range ae.constraints {
-				if !check(cc) {
-					return true
-				}
-			}
-			for _, cn := range ae.negations {
-				if !negAbsent(cn) {
-					return true
-				}
-			}
-			if pa != nil {
-				pa.Matches++
-			}
-			step(k + 1)
-			return !stopped
-		})
-	}
-	step(0)
-	return fired
+	return c.fired
 }
 
 // HeadTuple instantiates the rule's head from the slot-value array that
@@ -616,14 +480,8 @@ func (p *Plan) HeadArity() int { return len(p.head) }
 // over variants enumerates every ground substitution involving at least one
 // delta tuple exactly once.
 func DeltaVariants(rule ast.Rule, recAtoms []int) []*Plan {
-	return DeltaVariantsWith(rule, recAtoms, PlanConfig{})
-}
-
-// DeltaVariantsWith is DeltaVariants under an explicit planner
-// configuration.
-func DeltaVariantsWith(rule ast.Rule, recAtoms []int, cfg PlanConfig) []*Plan {
 	if len(recAtoms) == 0 {
-		return []*Plan{CompileWith(rule, nil, cfg)}
+		return []*Plan{Compile(rule, nil)}
 	}
 	sorted := append([]int(nil), recAtoms...)
 	sort.Ints(sorted)
@@ -640,7 +498,7 @@ func DeltaVariantsWith(rule ast.Rule, recAtoms []int, cfg PlanConfig) []*Plan {
 				ranges[rj] = RangeFull
 			}
 		}
-		plans = append(plans, CompileWith(rule, ranges, cfg))
+		plans = append(plans, Compile(rule, ranges))
 	}
 	return plans
 }

@@ -20,74 +20,116 @@ func mustRule(t *testing.T, src string) ast.Rule {
 	return p.Rules[0]
 }
 
-func TestPlanLeftToRightOrder(t *testing.T) {
-	r := mustRule(t, "h(X, Y) :- a(X, Z), b(Z, Y), c(Y, X).")
-	p := CompileWith(r, nil, PlanConfig{Mode: PlanLeftToRight})
-	if want := []int{0, 1, 2}; !reflect.DeepEqual(p.Order, want) {
-		t.Fatalf("left-to-right order = %v, want %v", p.Order, want)
-	}
-	if p.Moved() != 0 {
-		t.Fatalf("left-to-right moved %d atoms", p.Moved())
-	}
-}
-
-func TestGreedyPrefersSmallerRelationOnTies(t *testing.T) {
-	// With X bound by the first atom, b and c are equally bound (one bound
-	// arg each); the greedy planner must pick the smaller relation next.
-	r := mustRule(t, "h(X) :- a(X), b(X, Y), c(X, Z).")
-	card := map[string]int{"a": 1, "b": 100, "c": 5}
-	cfg := PlanConfig{Mode: PlanGreedy, Card: func(pred string) int { return card[pred] }}
-	p := CompileWith(r, nil, cfg)
-	if want := []int{0, 2, 1}; !reflect.DeepEqual(p.Order, want) {
-		t.Fatalf("greedy order = %v, want %v (c before b: 5 < 100 rows)", p.Order, want)
-	}
-	if p.Moved() != 2 {
-		t.Fatalf("Moved() = %d, want 2", p.Moved())
-	}
-}
-
-func TestGreedySeedsAtConstantAtom(t *testing.T) {
-	// No delta atom: the greedy start is the atom with the most constant
-	// arguments, not atom 0.
-	r := mustRule(t, "h(X, Y) :- e(X, Y), e(a, X).")
-	cfg := PlanConfig{Mode: PlanGreedy, Card: func(string) int { return 10 }}
-	p := CompileWith(r, nil, cfg)
-	if p.Order[0] != 1 {
-		t.Fatalf("greedy start = atom %d, want 1 (it has a constant)", p.Order[0])
-	}
-	// The legacy planner keeps atom 0 first (tie on zero bound args is
-	// broken by body position: atom 0 scores 0, atom 1 scores 1... check
-	// the actual legacy behavior instead of guessing).
-	legacy := Compile(r, nil)
-	if legacy.Order[0] != 0 {
-		t.Fatalf("legacy start = atom %d, want 0", legacy.Order[0])
-	}
-}
-
 func TestDefaultModeOrderUnchanged(t *testing.T) {
-	// The zero-config Compile must produce the same order as before the
-	// planner existed: first delta atom, then most-bound with lowest-index
-	// ties — golden traces depend on it.
+	// The join order golden traces depend on: first delta atom, then
+	// most-bound with lowest-index ties.
 	r := mustRule(t, "h(X, Y) :- e(X, Z), t(Z, Y), e(Y, W).")
 	ranges := []RangeKind{RangeFull, RangeDelta, RangeFull}
 	p := Compile(r, ranges)
 	if want := []int{1, 0, 2}; !reflect.DeepEqual(p.Order, want) {
-		t.Fatalf("legacy delta order = %v, want %v", p.Order, want)
+		t.Fatalf("delta order = %v, want %v", p.Order, want)
 	}
-	if p.Mode != PlanBoundness {
-		t.Fatalf("default mode = %v", p.Mode)
+	// Without a delta atom the join starts at atom 0, even when a later
+	// atom carries a constant.
+	c := Compile(mustRule(t, "h(X, Y) :- e(X, Y), e(a, X)."), nil)
+	if c.Order[0] != 0 {
+		t.Fatalf("start = atom %d, want 0", c.Order[0])
 	}
 }
 
-// buildChainStore returns a store with e = a 4-chain and t empty.
-func buildChainStore() relation.Store {
-	store := relation.Store{}
+// chainStore returns e = the 4-chain 0→1→2→3→4 plus the self-loop 2→2, and
+// bad = {(0,1)} for negation.
+func chainStore() relation.Store {
 	e := relation.New(2)
 	for i := 0; i < 4; i++ {
 		e.Insert(relation.Tuple{ast.Value(i), ast.Value(i + 1)})
 	}
-	store["e"] = e
-	return store
+	e.Insert(relation.Tuple{2, 2})
+	bad := relation.New(2)
+	bad.Insert(relation.Tuple{0, 1})
+	return relation.Store{"e": e, "bad": bad}
+}
+
+// executorRules are the rule shapes the executor tests run: joins,
+// repeated variables in the body and the head, negation, and a head
+// constant (value 1).
+func executorRules(t *testing.T) []ast.Rule {
+	var rules []ast.Rule
+	for _, src := range []string{
+		"h(X, Y) :- e(X, Y).",
+		"h(X, Y) :- e(X, Z), e(Z, Y).",
+		"h(X, Y) :- e(X, Z), e(Z, Y), e(Y, W).",
+		"h(X, X) :- e(X, X).",
+		"h(X, X) :- e(X, Y), e(Y, Z).",
+		"h(X, Y) :- e(X, Y), !bad(X, Y).",
+		"h(X, Y) :- e(X, Y), e(Y, X).",
+	} {
+		rules = append(rules, mustRule(t, src))
+	}
+	hc := mustRule(t, "h(Z, Y) :- e(X, Y), e(Y, Z).")
+	hc.Head.Args[0] = ast.C(1)
+	return append(rules, hc)
+}
+
+// bruteForce enumerates rule the obviously correct way: every combination
+// of rows within each atom's range, kept when the bindings unify and no
+// negated atom holds. It returns one head tuple per substitution, sorted.
+func bruteForce(r ast.Rule, ranges []RangeKind, store relation.Store, w *Watermarks) []relation.Tuple {
+	ground := func(a ast.Atom, bind map[string]ast.Value) relation.Tuple {
+		t := make(relation.Tuple, len(a.Args))
+		for i, term := range a.Args {
+			if term.IsVar() {
+				t[i] = bind[term.VarName]
+			} else {
+				t[i] = term.Value
+			}
+		}
+		return t
+	}
+	var out []relation.Tuple
+	var rec func(i int, bind map[string]ast.Value)
+	rec = func(i int, bind map[string]ast.Value) {
+		if i == len(r.Body) {
+			for _, a := range r.Negated {
+				if store[a.Pred].Contains(ground(a, bind)) {
+					return
+				}
+			}
+			out = append(out, ground(r.Head, bind))
+			return
+		}
+		a := r.Body[i]
+		rel := store[a.Pred]
+		kind := RangeFull
+		if ranges != nil {
+			kind = ranges[i]
+		}
+		lo, hi := w.bounds(a.Pred, kind, rel.NumRows())
+	rows:
+		for row := lo; row < hi; row++ {
+			t := rel.Row(row)
+			next := make(map[string]ast.Value, len(bind))
+			for k, v := range bind {
+				next[k] = v
+			}
+			for ci, term := range a.Args {
+				if !term.IsVar() {
+					if term.Value != t[ci] {
+						continue rows
+					}
+					continue
+				}
+				if v, seen := next[term.VarName]; seen && v != t[ci] {
+					continue rows
+				}
+				next[term.VarName] = t[ci]
+			}
+			rec(i+1, next)
+		}
+	}
+	rec(0, map[string]ast.Value{})
+	sortTuples(out)
+	return out
 }
 
 // enumerateAll drains a plan via Enumerate into sorted head tuples.
@@ -123,63 +165,64 @@ func sortTuples(ts []relation.Tuple) {
 	})
 }
 
-func tuplesEqual(a, b []relation.Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for k := range a[i] {
-			if a[i][k] != b[i][k] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestCursorMatchesEnumerate checks the streaming executor against the
-// callback executor over joins, constants, repeated variables, negation
-// and watermarked ranges, under every planner mode.
+// TestCursorMatchesEnumerate checks the executor, pulled directly and
+// through Enumerate, against a brute-force nested-loop reference over
+// joins, constants, repeated variables, negation and watermarked ranges:
+// the same substitutions, duplicates included.
 func TestCursorMatchesEnumerate(t *testing.T) {
-	store := buildChainStore()
-	neg := relation.New(2)
-	neg.Insert(relation.Tuple{ast.Value(0), ast.Value(1)})
-	store["bad"] = neg
-
-	rules := []string{
-		"h(X, Y) :- e(X, Y).",
-		"h(X, Y) :- e(X, Z), e(Z, Y).",
-		"h(X, Y) :- e(X, Z), e(Z, Y), e(Y, W).",
-		"h(X, X) :- e(X, X).",
-		"h(X, Y) :- e(X, Y), !bad(X, Y).",
-	}
+	store := chainStore()
 	w := &Watermarks{
 		Prev: map[string]int{"e": 1},
 		Cur:  map[string]int{"e": 3},
 	}
-	for _, src := range rules {
-		r := mustRule(t, src)
-		for _, mode := range []PlanMode{PlanBoundness, PlanGreedy, PlanLeftToRight} {
-			cfg := PlanConfig{Mode: mode, Card: func(pred string) int {
-				if rel, ok := store[pred]; ok {
-					return rel.Len()
+	for _, r := range executorRules(t) {
+		src := r.String()
+		for _, delta := range []bool{false, true} {
+			var ranges []RangeKind
+			var wm *Watermarks
+			if delta {
+				ranges = make([]RangeKind, len(r.Body))
+				ranges[len(r.Body)-1] = RangeDelta
+				wm = w
+			}
+			p := Compile(r, ranges)
+			want := bruteForce(r, ranges, store, wm)
+			if got := streamAll(p, store, wm); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s delta=%v: cursor %v, reference %v", src, delta, got, want)
+			}
+			if got := enumerateAll(p, store, wm); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s delta=%v: Enumerate %v, reference %v", src, delta, got, want)
+			}
+		}
+	}
+}
+
+// TestHeadBoundPlanCounts checks the IVM's counting plans: for every
+// candidate head tuple, the head-bound cursor finds exactly as many
+// substitutions as the reference derives that tuple — none when a head
+// constant or a repeated head variable rules the tuple out.
+func TestHeadBoundPlanCounts(t *testing.T) {
+	store := chainStore()
+	for _, r := range executorRules(t) {
+		if len(r.Negated) > 0 {
+			continue // maintenance rules carry no negation
+		}
+		want := map[[2]ast.Value]int64{}
+		for _, h := range bruteForce(r, nil, store, nil) {
+			want[[2]ast.Value{h[0], h[1]}]++
+		}
+		p := compileHeadBound(r)
+		for a := ast.Value(0); a < 5; a++ {
+			for b := ast.Value(0); b < 5; b++ {
+				c := p.Stream(store, nil)
+				var got int64
+				if p.bindHead(relation.Tuple{a, b}, c.vals) {
+					for c.Next() {
+						got++
+					}
 				}
-				return 0
-			}}
-			for _, ranges := range [][]RangeKind{nil, make([]RangeKind, len(r.Body))} {
-				p := CompileWith(r, ranges, cfg)
-				var wm *Watermarks
-				if ranges != nil {
-					ranges[0] = RangeDelta
-					wm = w
-				}
-				want := enumerateAll(p, store, wm)
-				got := streamAll(p, store, wm)
-				if !tuplesEqual(got, want) {
-					t.Fatalf("%s mode=%v wm=%v: cursor %v != enumerate %v", src, mode, wm != nil, got, want)
+				if got != want[[2]ast.Value{a, b}] {
+					t.Fatalf("%s: h(%d, %d) counted %d, reference %d", r, a, b, got, want[[2]ast.Value{a, b}])
 				}
 			}
 		}

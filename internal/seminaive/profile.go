@@ -9,12 +9,12 @@ import (
 )
 
 // AtomProfile is the runtime account of one body atom (indexed by textual
-// body position, whatever execution order the planner chose): how many index
-// lookups the join level issued, how many live rows those lookups returned,
-// and how many of them survived the level's check columns, constraints and
-// negation probes to feed the next level. Planned is the cardinality the
-// planner saw at compile time (-1 when it compiled without statistics), so
-// an explain-analyze report can show planned-vs-actual side by side.
+// body position, whatever execution order the plan chose): how many times
+// the join level opened (an index probe or a scan), how many live rows it
+// read, and how many of them survived the level's check columns,
+// constraints and negation probes to feed the next level. Planned is the
+// relation's size when the rule compiled (-1 when no store was consulted),
+// so an explain-analyze report can show planned-vs-actual side by side.
 type AtomProfile struct {
 	Pred    string
 	Probes  int64

@@ -5,55 +5,64 @@ import (
 	"parlog/internal/relation"
 )
 
-// Cursor is a single-use streaming enumeration of a plan: the pull-based
-// counterpart of Plan.Enumerate, composed from the relation package's
-// probe→join→select iterators. Each call to Next suspends the backtracking
-// join at the next satisfying ground substitution instead of driving a
-// callback, which is what lets Query hand tuples out one at a time.
+// Cursor is the rule-body executor: a single-use, pull-based enumeration of
+// a plan's satisfying ground substitutions. Each call to Next resumes the
+// backtracking join where the previous one suspended, which is what lets
+// Query hand tuples out one at a time; Enumerate is a loop over it.
 //
-// A cursor holds per-level iterators over the columnar arena; the store
-// must not lose relations while the cursor is live (inserts are fine — the
-// bounds were captured at open time, matching Enumerate's semantics).
+// Every join level keeps its state inline (see level), so a drain allocates
+// only the cursor's two buffers. The store must not lose relations while
+// the cursor is live; inserts are fine — a level captures its row bounds
+// when it opens, and rows inserted later lie beyond them.
 type Cursor struct {
 	p     *Plan
 	store relation.Store
 	w     *Watermarks
 
 	vals    []ast.Value
-	iters   []relation.Iterator
+	scratch []ast.Value // index key, constraint arguments or negation probe
+	levels  []level
 	depth   int
 	started bool
 	done    bool
 	fired   int64
 
-	lookup []ast.Value
-	hargs  []ast.Value
-	negBuf relation.Tuple
-
-	// prof is the plan's runtime counters, captured at Stream time; nil
-	// keeps the pull loops on the zero-overhead path.
+	// prof is the plan's runtime counters, captured when the cursor opens;
+	// nil keeps the pull loops on the zero-overhead path.
 	prof *planProfile
+}
+
+// level is one join position's suspended state: the relation it reads and
+// either the captured postings run of an index probe (the atom has bound
+// columns) or the scan window [next, hi) (it has none). rel is nil when the
+// level has nothing to read.
+type level struct {
+	rel      *relation.Relation
+	run      []int32
+	next, hi int
 }
 
 // Stream opens a cursor over the plan's enumeration under watermarks w
 // (nil for full extents).
 func (p *Plan) Stream(store relation.Store, w *Watermarks) *Cursor {
-	return &Cursor{
-		p:      p,
-		store:  store,
-		w:      w,
-		vals:   make([]ast.Value, len(p.slotOf)),
-		iters:  make([]relation.Iterator, len(p.atoms)),
-		lookup: make([]ast.Value, 0, 8),
-		hargs:  make([]ast.Value, 0, 8),
-		negBuf: make(relation.Tuple, 0, 8),
-		prof:   p.prof,
-	}
+	c := &Cursor{}
+	c.open(p, store, w)
+	return c
 }
 
-// Vals exposes the slot-value array of the current substitution; valid
-// after Next returns true, reused by the following Next.
-func (c *Cursor) Vals() []ast.Value { return c.vals }
+// open readies c to enumerate p.
+func (c *Cursor) open(p *Plan, store relation.Store, w *Watermarks) {
+	buf := make([]ast.Value, len(p.slotOf)+p.scratch)
+	*c = Cursor{
+		p:       p,
+		store:   store,
+		w:       w,
+		vals:    buf[:len(p.slotOf):len(p.slotOf)],
+		scratch: buf[len(p.slotOf):],
+		levels:  make([]level, len(p.atoms)),
+		prof:    p.prof,
+	}
+}
 
 // Head instantiates the rule head from the current substitution (freshly
 // allocated, safe to retain).
@@ -68,90 +77,110 @@ func (c *Cursor) Next() bool {
 	if c.done {
 		return false
 	}
+	last := len(c.p.atoms) - 1
 	if !c.started {
 		c.started = true
 		if !c.preChecks() {
 			c.done = true
 			return false
 		}
-		if len(c.p.atoms) == 0 {
+		if last < 0 {
 			// A bodiless rule (ground head, by safety) fires once.
 			c.done = true
 			c.fired++
 			return true
 		}
-		c.depth = 0
-		c.iters[0] = c.open(0)
-	} else {
-		// Resume below the last yielded substitution.
-		c.depth = len(c.p.atoms) - 1
+		c.openLevel(0)
 	}
-	for {
-		if c.depth < 0 {
-			c.done = true
-			return false
-		}
+	// After a yield depth is still last, so the join resumes there.
+	for c.depth >= 0 {
 		if !c.advance(c.depth) {
 			c.depth--
 			continue
 		}
-		if c.depth == len(c.p.atoms)-1 {
+		if c.depth == last {
 			c.fired++
 			return true
 		}
 		c.depth++
-		c.iters[c.depth] = c.open(c.depth)
+		c.openLevel(c.depth)
 	}
+	c.done = true
+	return false
 }
 
-// open builds the iterator for execution position k under the current
-// bindings: an index probe on the bound columns restricted to the atom's
-// semi-naive range.
-func (c *Cursor) open(k int) relation.Iterator {
+// openLevel positions execution level k under the current bindings: an
+// index probe on the bound columns, or a scan when there are none, either
+// restricted to the atom's semi-naive range.
+func (c *Cursor) openLevel(k int) {
+	l := &c.levels[k]
+	*l = level{}
 	ae := &c.p.atoms[k]
 	rel, ok := c.store[ae.pred]
 	if !ok || rel.Len() == 0 {
-		return nil
+		return
 	}
 	lo, hi := c.w.bounds(ae.pred, ae.kind, rel.NumRows())
 	if lo >= hi {
-		return nil
-	}
-	c.lookup = c.lookup[:0]
-	for _, src := range ae.boundSrc {
-		if src.slot >= 0 {
-			c.lookup = append(c.lookup, c.vals[src.slot])
-		} else {
-			c.lookup = append(c.lookup, src.value)
-		}
+		return
 	}
 	if c.prof != nil {
 		c.prof.atoms[k].Probes++
 	}
-	return relation.Probe(rel, ae.boundCols, c.lookup, lo, hi)
+	l.rel = rel
+	if len(ae.boundCols) == 0 {
+		l.next, l.hi = lo, hi
+		return
+	}
+	key := c.scratch[:len(ae.boundSrc)]
+	for i, src := range ae.boundSrc {
+		if src.slot >= 0 {
+			key[i] = c.vals[src.slot]
+		} else {
+			key[i] = src.value
+		}
+	}
+	l.run = rel.IndexOn(ae.boundCols...).Probe(key, lo, hi)
 }
 
-// advance pulls rows at position k until one satisfies the atom's check
+// advance pulls live rows at level k until one satisfies the atom's check
 // columns, constraints and negations, binding its free slots; false means
 // the level is exhausted.
 func (c *Cursor) advance(k int) bool {
-	it := c.iters[k]
-	if it == nil {
+	l := &c.levels[k]
+	if l.rel == nil {
 		return false
 	}
 	ae := &c.p.atoms[k]
+	probe := len(ae.boundCols) > 0
 	var pa *AtomProfile
 	if c.prof != nil {
 		pa = &c.prof.atoms[k]
 	}
 	for {
-		tuple := it.Next()
-		if tuple == nil {
-			return false
+		var row int
+		if probe {
+			if len(l.run) == 0 {
+				return false
+			}
+			row = int(l.run[0])
+			l.run = l.run[1:]
+		} else {
+			if l.next >= l.hi {
+				return false
+			}
+			row = l.next
+			l.next++
+		}
+		if !l.rel.Alive(row) {
+			// Counted relations (view maintenance) keep dead rows in the
+			// arena; joins see only the live extent.
+			continue
 		}
 		if pa != nil {
 			pa.Rows++
 		}
+		tuple := l.rel.Row(row)
 		for ci, col := range ae.freeCols {
 			c.vals[ae.freeSlots[ci]] = tuple[col]
 		}
@@ -166,7 +195,9 @@ func (c *Cursor) advance(k int) bool {
 }
 
 // rowChecks applies an atom's repeated-variable checks, constraints and
-// negation probes to the current bindings.
+// negation probes to the current bindings. Check columns repeat a variable
+// first bound by an earlier column of the same atom, so they compare after
+// the binds.
 func (c *Cursor) rowChecks(ae *atomExec, tuple relation.Tuple) bool {
 	for ci, col := range ae.checkCols {
 		if tuple[col] != c.vals[ae.checkSlots[ci]] {
@@ -187,10 +218,12 @@ func (c *Cursor) rowChecks(ae *atomExec, tuple relation.Tuple) bool {
 }
 
 // preChecks evaluates the variable-free constraints and ground negations
-// once, before enumeration (Enumerate's zeroChecks/zeroNegs pass).
+// once, before enumeration.
 func (c *Cursor) preChecks() bool {
 	for _, cc := range c.p.zeroChecks {
 		if len(cc.slots) > 0 {
+			// Zero-position constraints with variables only occur for empty
+			// bodies, where safety forbids variables.
 			panic("seminaive: constraint on unbound variables")
 		}
 		if !c.check(cc) {
@@ -206,25 +239,27 @@ func (c *Cursor) preChecks() bool {
 }
 
 func (c *Cursor) check(cc compiledConstraint) bool {
-	c.hargs = c.hargs[:0]
-	for _, s := range cc.slots {
-		c.hargs = append(c.hargs, c.vals[s])
+	args := c.scratch[:len(cc.slots)]
+	for i, s := range cc.slots {
+		args[i] = c.vals[s]
 	}
-	return cc.h.Fn(c.hargs) == cc.proc
+	return cc.h.Fn(args) == cc.proc
 }
 
+// negAbsent reports whether the ground instance of the negated atom is
+// absent — a missing relation counts as empty.
 func (c *Cursor) negAbsent(cn compiledNegation) bool {
 	rel, ok := c.store[cn.pred]
 	if !ok || rel.Len() == 0 {
 		return true
 	}
-	c.negBuf = c.negBuf[:0]
-	for _, s := range cn.src {
+	probe := relation.Tuple(c.scratch[:len(cn.src)])
+	for i, s := range cn.src {
 		if s.slot >= 0 {
-			c.negBuf = append(c.negBuf, c.vals[s.slot])
+			probe[i] = c.vals[s.slot]
 		} else {
-			c.negBuf = append(c.negBuf, s.value)
+			probe[i] = s.value
 		}
 	}
-	return !rel.Contains(c.negBuf)
+	return !rel.Contains(probe)
 }

@@ -70,7 +70,6 @@ func runConfig(ctx context.Context, opts EvalOptions, sink obs.EventSink) parall
 		MaxBatch:     opts.MaxBatch,
 		Ctx:          ctx,
 		Sink:         sink,
-		Planner:      opts.Planner,
 		Profile:      opts.Profile,
 	}
 }
@@ -363,7 +362,6 @@ func evalDistributed(ctx context.Context, p *Program, edb Store, opts EvalOption
 		MaxMemoryBytes:     opts.MaxMemoryBytes,
 		Ctx:                ctx,
 		Sink:               sink,
-		Planner:            opts.Planner,
 		Profile:            opts.Profile,
 	})
 	if err != nil {

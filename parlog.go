@@ -223,12 +223,6 @@ type EvalOptions struct {
 	// MaxIterations aborts runaway sequential evaluations; 0 means
 	// unlimited.
 	MaxIterations int
-	// Planner selects the join-order planner for compiled rule plans.
-	// PlannerBoundness (the zero value) is the legacy order golden traces
-	// pin; PlannerGreedy additionally consults relation cardinalities;
-	// PlannerLeftToRight is the ablation baseline. Honored by all three
-	// engines (the parallel engines replan each worker's fragment).
-	Planner PlannerMode
 	// Explain records the planning decisions — join order, constraint
 	// pushdowns, demand rewrite — into Result.Plan for Result.Explain().
 	Explain bool
@@ -501,7 +495,7 @@ func eval(ctx context.Context, p *Program, edb Store, opts EvalOptions) (*Result
 	}
 	if opts.Explain && res.Plan == nil {
 		// The parallel engines plan per worker fragment; their report
-		// carries the planner and demand summary without per-rule orders.
+		// carries the demand summary without per-rule orders.
 		res.Plan = newPlanReport(opts)
 	}
 	if err := tel.finish(ctx, p, opts, res); err != nil {
@@ -518,7 +512,6 @@ func evalSequential(ctx context.Context, p *Program, edb Store, opts EvalOptions
 		MaxIterations: opts.MaxIterations,
 		Ctx:           ctx,
 		Sink:          sink,
-		Planner:       opts.Planner,
 		Profile:       opts.Profile,
 	}
 	var report *PlanReport

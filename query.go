@@ -11,27 +11,11 @@ import (
 	"parlog/internal/seminaive"
 )
 
-// PlannerMode selects the join-order planner shared by all engines.
-type PlannerMode = seminaive.PlanMode
-
-const (
-	// PlannerBoundness is the legacy order: most bound argument positions
-	// first, cardinalities ignored. The default, pinned by golden traces.
-	PlannerBoundness = seminaive.PlanBoundness
-	// PlannerGreedy breaks boundness ties by relation cardinality (smaller
-	// joins first) and seeds non-delta plans at the most selective atom.
-	PlannerGreedy = seminaive.PlanGreedy
-	// PlannerLeftToRight joins in textual order — the ablation baseline.
-	PlannerLeftToRight = seminaive.PlanLeftToRight
-)
-
 // PlanReport is the planner's account of one evaluation, collected when
 // EvalOptions.Explain is set. The sequential engine reports every compiled
-// rule plan; the parallel engines report the planner and demand summary
-// (their per-worker plans are fragment-local).
+// rule plan; the parallel engines report the demand summary only (their
+// per-worker plans are fragment-local).
 type PlanReport struct {
-	// Planner names the join-order planner used.
-	Planner string
 	// Demand summarizes the magic-sets rewrite Query applied, nil when no
 	// rewrite happened.
 	Demand *DemandReport
@@ -64,7 +48,7 @@ type RulePlan struct {
 
 // newPlanReport starts a report for one evaluation.
 func newPlanReport(opts EvalOptions) *PlanReport {
-	r := &PlanReport{Planner: opts.Planner.String()}
+	r := &PlanReport{}
 	if opts.demand != nil {
 		r.Demand = &DemandReport{
 			Goal:       opts.demand.goal,
@@ -105,7 +89,7 @@ func (r *PlanReport) observe(p *Program, pl *seminaive.Plan) {
 }
 
 // Explain renders the plan report as stable, line-oriented text: the
-// planner, the demand rewrite if any, and per rule the chosen join order
+// demand rewrite if any, and per rule the chosen join order
 // and constraint pushdowns. When the run also collected a runtime profile
 // (EvalOptions.Profile), an "analyze" section with actual-vs-planned
 // cardinalities follows — explain-analyze in one transcript. Returns ""
@@ -116,7 +100,6 @@ func (r *Result) Explain() string {
 	}
 	var b strings.Builder
 	if r.Plan != nil {
-		fmt.Fprintf(&b, "planner: %s\n", r.Plan.Planner)
 		if d := r.Plan.Demand; d != nil {
 			fmt.Fprintf(&b, "demand: goal=%s adornment=%s rules=%d magic=%d\n",
 				d.Goal, d.Adornment, d.Rules, d.MagicRules)
@@ -212,7 +195,7 @@ func (q *QueryResult) Err() error {
 // opts.NoDemand is set, the program is first specialized to the goal with
 // the magic-sets (demand) rewrite of internal/rewrite, so only the portion
 // of the IDB the goal depends on is materialized; evaluation then runs on
-// the engine opts selects with the opts.Planner join planner. Explain is
+// the engine opts selects. Explain is
 // implied — the static plan report is free to collect, and
 // QueryResult.Explain() reports the decisions taken. Runtime profiling
 // (opts.Profile) stays strictly opt-in: the hot serving path pays nothing
@@ -268,8 +251,7 @@ func Query(ctx context.Context, p *Program, edb Store, goal string, opts EvalOpt
 			return nil, fmt.Errorf("parlog: %s has arity %d, goal uses %d", goalAtom.Pred, rel.Arity(), matchAtom.Arity())
 		}
 		match := ast.Rule{Head: matchAtom.Clone(), Body: []ast.Atom{matchAtom.Clone()}}
-		qr.cur = seminaive.CompileWith(match, nil, seminaive.PlanConfig{Mode: opts.Planner}).
-			Stream(cursorStore, nil)
+		qr.cur = seminaive.Compile(match, nil).Stream(cursorStore, nil)
 	}
 	return qr, nil
 }

@@ -120,13 +120,12 @@ func TestQueryEDBGoal(t *testing.T) {
 }
 
 // TestQueryParallelEngine routes a goal through the shared-memory parallel
-// engine with the greedy planner.
+// engine.
 func TestQueryParallelEngine(t *testing.T) {
 	prog := chainProgram(t, 20)
 	qr, err := parlog.Query(context.Background(), prog, nil, "anc(v15, X)", parlog.EvalOptions{
 		Engine:  parlog.EngineParallel,
 		Workers: 3,
-		Planner: parlog.PlannerGreedy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +133,7 @@ func TestQueryParallelEngine(t *testing.T) {
 	if got := len(qr.All()); got != 5 {
 		t.Fatalf("parallel query answers = %d, want 5", got)
 	}
-	if qr.Plan == nil || qr.Plan.Planner != "greedy" {
+	if qr.Plan == nil || qr.Plan.Demand == nil {
 		t.Fatalf("parallel query plan report = %+v", qr.Plan)
 	}
 }
@@ -149,26 +148,22 @@ func TestQueryBadGoal(t *testing.T) {
 	}
 }
 
-// TestQueryExplainGolden pins the Explain rendering for Example 3 with the
-// greedy planner — the text is part of the public API surface (cmd/datalog
+// TestQueryExplainGolden pins the Explain rendering for Example 3 — the text is part of the public API surface (cmd/datalog
 // -explain prints it verbatim).
 func TestQueryExplainGolden(t *testing.T) {
 	prog := chainProgram(t, 10)
-	qr, err := parlog.Query(context.Background(), prog, nil, "anc(v0, X)?", parlog.EvalOptions{
-		Planner: parlog.PlannerGreedy,
-	})
+	qr, err := parlog.Query(context.Background(), prog, nil, "anc(v0, X)?", parlog.EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := qr.Explain()
-	want := `planner: greedy
-demand: goal=anc(v0, X) adornment=bf rules=14 magic=2
+	want := `demand: goal=anc(v0, X) adornment=bf rules=14 magic=2
 rule anc@m@bf(B0) :- anc@seed@bf(B0).
   order: anc@seed@bf(B0)
 rule anc@m@bf(Z) :- anc@m@bf(X), par(X, Z).
   order: anc@m@bf(X), par(X, Z)
 rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Y).
-  order: par(X, Y), anc@m@bf(X)  (reordered)
+  order: anc@m@bf(X), par(X, Y)
 rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Z), anc@bf(Z, Y).
   order: anc@bf(Z, Y), par(X, Z), anc@m@bf(X)  (reordered)
 `
@@ -178,14 +173,13 @@ rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Z), anc@bf(Z, Y).
 }
 
 // TestQueryExplainAnalyzeGolden pins the full explain-analyze transcript
-// for Example 3 with the greedy planner and profiling on. The sequential
+// for Example 3 with profiling on. The sequential
 // engine is deterministic, so every counter — firings, probes, rows,
 // matches, planned cardinalities — is exact; only the wall-time tokens are
 // normalized. A drift here means the profiler's accounting changed.
 func TestQueryExplainAnalyzeGolden(t *testing.T) {
 	prog := chainProgram(t, 10)
 	qr, err := parlog.Query(context.Background(), prog, nil, "anc(v0, X)?", parlog.EvalOptions{
-		Planner: parlog.PlannerGreedy,
 		Profile: true,
 	})
 	if err != nil {
@@ -195,14 +189,13 @@ func TestQueryExplainAnalyzeGolden(t *testing.T) {
 		t.Fatalf("answers = %d, want 10", n)
 	}
 	got := regexp.MustCompile(`wall=\S+`).ReplaceAllString(qr.Explain(), "wall=<t>")
-	want := `planner: greedy
-demand: goal=anc(v0, X) adornment=bf rules=14 magic=2
+	want := `demand: goal=anc(v0, X) adornment=bf rules=14 magic=2
 rule anc@m@bf(B0) :- anc@seed@bf(B0).
   order: anc@seed@bf(B0)
 rule anc@m@bf(Z) :- anc@m@bf(X), par(X, Z).
   order: anc@m@bf(X), par(X, Z)
 rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Y).
-  order: par(X, Y), anc@m@bf(X)  (reordered)
+  order: anc@m@bf(X), par(X, Y)
 rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Z), anc@bf(Z, Y).
   order: anc@bf(Z, Y), par(X, Z), anc@m@bf(X)  (reordered)
 analyze: engine=seminaive wall=<t>
@@ -215,8 +208,8 @@ rule anc@m@bf(Z) :- anc@m@bf(X), par(X, Z).
   atom 1 par: probes=11 rows=10 matches=10 planned=10
 rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Y).
   firings=10 new=10 dup=0 iterations=1 wall=<t>
-  atom 0 anc@m@bf: probes=10 rows=10 matches=10 planned=11
-  atom 1 par: probes=1 rows=10 matches=10 planned=10
+  atom 0 anc@m@bf: probes=1 rows=11 matches=11 planned=11
+  atom 1 par: probes=11 rows=10 matches=10 planned=10
 rule anc@bf(X, Y) :- anc@m@bf(X), par(X, Z), anc@bf(Z, Y).
   firings=45 new=45 dup=0 iterations=10 wall=<t>
   atom 0 anc@m@bf: probes=45 rows=45 matches=45 planned=11

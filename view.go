@@ -96,7 +96,7 @@ type View struct {
 
 // Open materializes prog over edb (which may be nil) and returns a live,
 // incrementally maintained view of its least model. The maintenance engine
-// is sequential counting/DRed over the opts.Planner join planner; programs
+// is sequential counting/DRed; programs
 // with negation or constraints are rejected, as are non-sequential engines
 // — parallel refixpointing and incremental maintenance do not compose yet
 // (run Eval for one-shot parallel evaluation). Telemetry options work as in
@@ -137,7 +137,6 @@ func Open(ctx context.Context, p *Program, edb Store, opts EvalOptions) (*View, 
 	ivm, _, err := seminaive.NewIVM(p.ast, edb, seminaive.Options{
 		MaxIterations: opts.MaxIterations,
 		Ctx:           ctx,
-		Planner:       opts.Planner,
 	})
 	if err != nil {
 		if dur != nil {
@@ -323,7 +322,6 @@ func (v *View) Snapshot() (*Snapshot, error) {
 			prog:    v.prog,
 			store:   store,
 			epoch:   v.epoch,
-			planner: v.opts.Planner,
 			profile: v.opts.Profile,
 		}
 		obs.SnapshotTaken(v.tel.sink, v.epoch, store.TotalTuples())
@@ -414,12 +412,11 @@ func (v *View) Close() error {
 
 // Snapshot is an immutable view of a View's model at one epoch, safe for
 // concurrent readers. Store exposes the relations directly; Query serves
-// goal-directed reads through the join planner.
+// goal-directed reads through the rule executor.
 type Snapshot struct {
-	prog    *Program
-	store   Store
-	epoch   uint64
-	planner PlannerMode
+	prog  *Program
+	store Store
+	epoch uint64
 	// profile mirrors the View's Open-time EvalOptions.Profile: snapshot
 	// queries then fill QueryResult.Profile with the goal scan's counters.
 	profile bool
@@ -434,8 +431,7 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 func (s *Snapshot) Store() Store { return s.store }
 
 // Query matches a goal atom such as "anc(a, X)" against the snapshot and
-// returns its answers through the opts.Planner join planner the view was
-// opened with. The model is already materialized, so no evaluation runs —
+// returns its answers. The model is already materialized, so no evaluation runs —
 // and the live View is never blocked: concurrent Snapshot.Query and
 // View.Apply proceed independently. Answers are fully collected before the
 // call returns; the QueryResult streams them and honors ctx cancellation
@@ -468,7 +464,7 @@ func (s *Snapshot) Query(ctx context.Context, goal string) (*QueryResult, error)
 	// readers must not race on. The scan itself is index-probe joins over
 	// the pinned arena — the PR 6 execution path.
 	match := ast.Rule{Head: atom.Clone(), Body: []ast.Atom{atom.Clone()}}
-	plan := seminaive.CompileWith(match, nil, seminaive.PlanConfig{Mode: s.planner})
+	plan := seminaive.Compile(match, nil)
 	var rp *seminaive.RuleProfile
 	var t0 time.Time
 	if s.profile {
