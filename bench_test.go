@@ -255,8 +255,20 @@ func BenchmarkTheorem3CommFree(b *testing.B) {
 
 // --- E9: worker scaling ---
 
+// BenchmarkSpeedupWorkers runs Example 3 at N = 1, 2, 4, 8 next to the
+// sequential engine on the same input, so its output reads as speedup over
+// Eval as well as over N=1.
 func BenchmarkSpeedupWorkers(b *testing.B) {
 	edb := relation.Store{"par": workload.RandomGraph(150, 600, 11)}
+	b.Run("Eval", func(b *testing.B) {
+		prog := workload.AncestorProgram()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := seminaive.Eval(prog, edb, seminaive.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, n := range []int{1, 2, 4, 8} {
 		n := n
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {

@@ -75,12 +75,11 @@ func TestCheckpointRecoveryReplaysSuffix(t *testing.T) {
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
 	// Same seed-5 workload as the non-checkpointed recovery test, but the
-	// kill lands later in worker 1's write sequence so the small
-	// CheckpointEvery has completed several request/reply cycles for its
-	// bucket first.
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillAfterWrites: 45})
+	// kill waits until the small CheckpointEvery has completed two
+	// request/reply cycles for worker 1's bucket.
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
 	rec := obs.NewRecorder()
-	res, err := Run(p, edb, Config{CheckpointEvery: 2, WorkerDial: dial, Sink: rec})
+	res, err := Run(p, edb, Config{CheckpointEvery: 2, CheckpointFault: armOnCheckpoint(in, 1, 2), WorkerDial: dial, Sink: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,14 @@ type Schedule struct {
 	// KillAfterWrites is the number of writes the killed connection is
 	// allowed before it dies. 0 kills on the first write.
 	KillAfterWrites int
+	// KillOnArm holds the kill back until Arm is called: the KillConn
+	// connection then dies at its first write after Arm, and
+	// KillAfterWrites is ignored. A test arms the injector from a runtime
+	// hook, so the kill follows a logical event of the run (say, the
+	// first batch the coordinator routes to the victim's bucket) instead
+	// of a write count whose place in the run depends on how fast the
+	// peers compute.
+	KillOnArm bool
 	// Delay is added to every Write on every wrapped connection.
 	Delay time.Duration
 	// Jitter adds a seeded-uniform extra delay in [0, Jitter) per write.
@@ -57,6 +65,7 @@ type Injector struct {
 	rng   *rand.Rand
 	dials int
 	conns int
+	armed bool
 }
 
 // New returns an injector for the given schedule.
@@ -96,6 +105,25 @@ func (in *Injector) Wrap(c net.Conn) net.Conn {
 // injecting faults on the accepting side.
 func (in *Injector) Listener(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, in: in}
+}
+
+// Arm releases a KillOnArm schedule's kill: the KillConn connection dies
+// at its next write. Arming again is harmless.
+func (in *Injector) Arm() {
+	in.mu.Lock()
+	in.armed = true
+	in.mu.Unlock()
+}
+
+// killDue reports whether the KillConn connection, having made writes
+// successful writes, dies at its next one.
+func (in *Injector) killDue(writes int) bool {
+	if !in.sched.KillOnArm {
+		return writes >= in.sched.KillAfterWrites
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.armed
 }
 
 // Dials reports how many Dial calls the injector has seen.
@@ -149,8 +177,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.mu.Unlock()
 		return 0, ErrInjected
 	}
-	s := c.in.sched
-	if s.KillConn == c.id && c.writes >= s.KillAfterWrites {
+	if c.in.sched.KillConn == c.id && c.in.killDue(c.writes) {
 		c.killed = true
 		c.mu.Unlock()
 		// Close the underlying conn so the peer observes the failure

@@ -102,6 +102,26 @@ func TestKillAfterWrites(t *testing.T) {
 	}
 }
 
+// TestKillOnArm checks that an armed schedule kills the connection at its
+// first write after Arm, whatever the write count.
+func TestKillOnArm(t *testing.T) {
+	client, _ := pipe(t)
+	in := New(Schedule{KillConn: 1, KillOnArm: true})
+	c := in.Wrap(client)
+	for i := 0; i < 5; i++ {
+		if _, err := c.Write([]byte{byte(i)}); err != nil {
+			t.Fatalf("write %d before Arm: %v", i, err)
+		}
+	}
+	in.Arm()
+	if _, err := c.Write([]byte{9}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("first write after Arm: want ErrInjected, got %v", err)
+	}
+	if _, err := c.Write([]byte{9}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("killed conn write: want ErrInjected, got %v", err)
+	}
+}
+
 func TestSecondConnUnaffected(t *testing.T) {
 	c1a, _ := pipe(t)
 	c2a, c2b := pipe(t)

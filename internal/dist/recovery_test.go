@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +24,33 @@ func injectorDial(target int, sched fault.Schedule) (func(wi int) DialFunc, *fau
 		}
 		return nil
 	}, in
+}
+
+// armOnRoute returns a RouteFault hook that routes every batch unchanged
+// and arms in once the coordinator routes a batch to bucket. The armed
+// kill lands at the victim's next write — before the next termination
+// wave can complete, since that wave needs the victim's reply — and after
+// the bucket's log holds data, so the recovery has batches to replay.
+func armOnRoute(in *fault.Injector, bucket int) func(from, b int) int {
+	return func(_, b int) int {
+		if b == bucket {
+			in.Arm()
+		}
+		return b
+	}
+}
+
+// armOnCheckpoint returns a CheckpointFault hook that passes every reply
+// and arms in at the n-th reply for bucket, so the kill lands after
+// checkpoints have truncated that bucket's log.
+func armOnCheckpoint(in *fault.Injector, bucket, n int) func(b, probe int) int {
+	var seen atomic.Int32
+	return func(b, _ int) int {
+		if b == bucket && int(seen.Add(1)) >= n {
+			in.Arm()
+		}
+		return fault.CkptPass
+	}
 }
 
 // TestBucketRecoveryKillOneOfThree is the headline fault-tolerance

@@ -69,7 +69,7 @@ func scrape(t *testing.T, url string) (map[string]float64, error) {
 func TestDistributedMetricsScrapeUnderFaults(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 5)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillAfterWrites: 25})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
 
 	reg := metrics.New()
 	srv, err := metrics.NewServer("127.0.0.1:0", reg, metrics.ServerOptions{})
@@ -120,7 +120,7 @@ func TestDistributedMetricsScrapeUnderFaults(t *testing.T) {
 		}
 	}()
 
-	res, err := Run(p, edb, Config{WorkerDial: dial, Sink: obs.NewMetricsSink(reg)})
+	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1), Sink: obs.NewMetricsSink(reg)})
 	close(done)
 	wg.Wait()
 	if err != nil {
@@ -158,10 +158,10 @@ func TestDistributedMetricsScrapeUnderFaults(t *testing.T) {
 func TestReplayCarriesOriginatingSpan(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 5)
 	p, edb, _ := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillAfterWrites: 25})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
 
 	rec := obs.NewRecorder()
-	if _, err := Run(p, edb, Config{WorkerDial: dial, Sink: rec}); err != nil {
+	if _, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1), Sink: rec}); err != nil {
 		t.Fatal(err)
 	}
 

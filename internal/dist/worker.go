@@ -449,7 +449,7 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			wq.push(qmsg{m: wireMsg{Kind: kindData, Bucket: dest, From: n.Index(), Pred: pred, Raw: raw, Span: span, Parent: curParent}})
 		}
 		return func(dest int, pred string, tuples []relation.Tuple) {
-			n.RecordSent(len(tuples))
+			n.RecordSent(dest, len(tuples))
 			if sink := n.Sink(); sink != nil {
 				sink.MessageSent(n.Proc(), n.PeerProc(dest), pred, len(tuples))
 			}
@@ -674,26 +674,23 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 
 		if finish {
 			out := wireMsg{Kind: kindOutput, Index: node.Index()}
-			pooled := map[string][]relation.Tuple{}
 			hosted := make([]int, 0, len(nodes))
 			for b := range nodes {
 				hosted = append(hosted, b)
 			}
 			sort.Ints(hosted)
-			for _, b := range hosted {
+			pool := make([]*parallel.Node, len(hosted))
+			for i, b := range hosted {
 				n := nodes[b]
-				for pred, rel := range n.Outputs() {
-					if rel.Len() == 0 {
-						continue
-					}
-					ts := pooled[pred]
-					for i := 0; i < rel.Len(); i++ {
-						ts = append(ts, rel.Row(i))
-					}
-					pooled[pred] = ts
-				}
+				pool[i] = n
 				out.Stats = append(out.Stats, n.Stats())
 				out.Profiles = append(out.Profiles, n.Profile()...)
+			}
+			pooled := map[string][]relation.Tuple{}
+			for pred, rel := range parallel.Pool(pool) {
+				if rel.Len() > 0 {
+					pooled[pred] = rel.Rows()
+				}
 			}
 			out.Snap = wire.AppendSnapshot(nil, pooled)
 			wq.push(control(out))

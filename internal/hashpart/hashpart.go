@@ -23,19 +23,41 @@ type Func interface {
 
 // ProcSet is a finite ordered set of processor ids, the paper's P.
 type ProcSet struct {
-	ids   []int
+	ids []int
+	// Index lookups sit on the per-tuple routing path, so a set whose ids
+	// span a small range keeps them in a dense table: dense[id-lo] is the
+	// dense index plus one, 0 for a hole. A sparse set falls back to index.
+	lo    int
+	dense []int32
 	index map[int]int
 }
 
 // NewProcSet builds a processor set from distinct ids, preserving order.
 func NewProcSet(ids ...int) *ProcSet {
-	p := &ProcSet{index: make(map[int]int, len(ids))}
+	p := &ProcSet{}
+	seen := make(map[int]int, len(ids))
+	lo, hi := 0, -1
 	for _, id := range ids {
-		if _, dup := p.index[id]; dup {
+		if _, dup := seen[id]; dup {
 			panic(fmt.Sprintf("hashpart: duplicate processor id %d", id))
 		}
-		p.index[id] = len(p.ids)
+		seen[id] = len(p.ids)
 		p.ids = append(p.ids, id)
+		if len(p.ids) == 1 || id < lo {
+			lo = id
+		}
+		if len(p.ids) == 1 || id > hi {
+			hi = id
+		}
+	}
+	if span := uint64(hi) - uint64(lo); len(ids) > 0 && span < uint64(4*len(ids)+64) {
+		p.lo = lo
+		p.dense = make([]int32, span+1)
+		for i, id := range p.ids {
+			p.dense[id-lo] = int32(i + 1)
+		}
+	} else {
+		p.index = seen
 	}
 	return p
 }
@@ -57,13 +79,21 @@ func (p *ProcSet) IDs() []int { return p.ids }
 
 // Index returns the dense index of id within the set.
 func (p *ProcSet) Index(id int) (int, bool) {
-	i, ok := p.index[id]
-	return i, ok
+	if p.index != nil {
+		i, ok := p.index[id]
+		return i, ok
+	}
+	// The unsigned difference wraps ids below lo out of range too.
+	k := uint(id - p.lo)
+	if k >= uint(len(p.dense)) || p.dense[k] == 0 {
+		return 0, false
+	}
+	return int(p.dense[k]) - 1, true
 }
 
 // Contains reports membership.
 func (p *ProcSet) Contains(id int) bool {
-	_, ok := p.index[id]
+	_, ok := p.Index(id)
 	return ok
 }
 
@@ -90,12 +120,15 @@ func (m ModHash) Apply(vals []ast.Value) int {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
+	// FNV-1a over each value's four little-endian bytes, unrolled: routing
+	// applies h once per firing.
 	h := offset64 ^ m.Seed
 	for _, v := range vals {
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(v >> shift))
-			h *= prime64
-		}
+		u := uint32(v)
+		h = (h ^ uint64(u&0xff)) * prime64
+		h = (h ^ uint64(u>>8&0xff)) * prime64
+		h = (h ^ uint64(u>>16&0xff)) * prime64
+		h = (h ^ uint64(u>>24)) * prime64
 	}
 	return int(h % uint64(m.N))
 }

@@ -26,6 +26,38 @@ func TestProcSet(t *testing.T) {
 	}
 }
 
+// TestProcSetIndexDenseAndSparse checks Index on a compact id range (the
+// dense table) and on ids spread too wide for one, including the extreme
+// ints whose differences overflow.
+func TestProcSetIndexDenseAndSparse(t *testing.T) {
+	const maxInt = int(^uint(0) >> 1)
+	for _, ids := range [][]int{
+		{5, 3, 4},
+		{-7, 0, 9},
+		{0, 1 << 40, -(1 << 40)},
+		{-maxInt - 1, maxInt, 0},
+	} {
+		p := NewProcSet(ids...)
+		for want, id := range ids {
+			if i, ok := p.Index(id); !ok || i != want {
+				t.Errorf("%v: Index(%d) = %d,%v, want %d", ids, id, i, ok, want)
+			}
+		}
+		for _, id := range []int{-maxInt - 1, -8, -1, 2, 6, 10, 1 << 39, maxInt} {
+			member := false
+			for _, x := range ids {
+				member = member || x == id
+			}
+			if p.Contains(id) != member {
+				t.Errorf("%v: Contains(%d) = %v", ids, id, !member)
+			}
+		}
+	}
+	if NewProcSet().Contains(0) {
+		t.Error("empty set contains 0")
+	}
+}
+
 func TestProcSetDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -53,6 +85,30 @@ func TestModHashRangeAndDeterminism(t *testing.T) {
 		if c == 0 || c == 1000 {
 			t.Errorf("bucket %d has %d of 1000", i, c)
 		}
+	}
+}
+
+// TestModHashMatchesFNV pins ModHash to FNV-1a over each value's four
+// little-endian bytes, seeded by XOR into the offset basis: placements
+// must not move when the hash loop is rewritten.
+func TestModHashMatchesFNV(t *testing.T) {
+	ref := func(m ModHash, vals []ast.Value) int {
+		h := uint64(14695981039346656037) ^ m.Seed
+		for _, v := range vals {
+			for shift := 0; shift < 32; shift += 8 {
+				h ^= uint64(byte(v >> shift))
+				h *= 1099511628211
+			}
+		}
+		return int(h % uint64(m.N))
+	}
+	f := func(a, b int32, seed uint64, n uint8) bool {
+		m := ModHash{N: int(n%7) + 1, Seed: seed}
+		vals := []ast.Value{ast.Value(a), ast.Value(b)}
+		return m.Apply(vals) == ref(m, vals) && m.Apply(vals[:1]) == ref(m, vals[:1])
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -27,16 +27,13 @@ func RunLockstep(p *Program, edb relation.Store, cfg RunConfig) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	placements := makePlacements(p, global)
 
 	nodes := make([]*Node, n)
 	queues := make([][]message, n)
-	edges := make([]map[[2]int]*EdgeStats, n)
 	forbidden := make([]int64, n)
 	for wi := 0; wi < n; wi++ {
 		nodes[wi] = NewNode(p, wi, global)
 		nodes[wi].SetSink(cfg.Sink)
-		edges[wi] = make(map[[2]int]*EdgeStats)
 	}
 
 	if cfg.Sink != nil {
@@ -51,15 +48,7 @@ func RunLockstep(p *Program, edb relation.Store, cfg RunConfig) (*Result, error)
 				forbidden[wi] += int64(len(tuples))
 				return
 			}
-			nodes[wi].RecordSent(len(tuples))
-			e := [2]int{wi, dest}
-			es := edges[wi][e]
-			if es == nil {
-				es = &EdgeStats{}
-				edges[wi][e] = es
-			}
-			es.Messages++
-			es.Tuples += int64(len(tuples))
+			nodes[wi].RecordSent(dest, len(tuples))
 			if cfg.Sink != nil {
 				cfg.Sink.MessageSent(ids[wi], toProc, pred, len(tuples))
 			}
@@ -116,36 +105,14 @@ func RunLockstep(p *Program, edb relation.Store, cfg RunConfig) (*Result, error)
 	}
 
 	// Final pooling, identical to Run.
-	out := relation.Store{}
-	stats := &Stats{
-		Edges:      make(map[[2]int]*EdgeStats),
-		Placements: placements,
-		Wall:       wall,
-	}
-	for pred, ar := range p.IDB {
-		out.Get(pred, ar)
-	}
+	stats := &Stats{Placements: nodePlacements(p, global, nodes), Wall: wall}
 	var totalForbidden int64
 	for wi, node := range nodes {
-		for pred, rel := range node.Outputs() {
-			dst := out.Get(pred, rel.Arity())
-			for _, t := range rel.Rows() {
-				dst.Insert(t)
-			}
-		}
 		stats.Procs = append(stats.Procs, node.Stats())
-		for e, es := range edges[wi] {
-			key := [2]int{ids[e[0]], ids[e[1]]}
-			if prev, ok := stats.Edges[key]; ok {
-				prev.Messages += es.Messages
-				prev.Tuples += es.Tuples
-			} else {
-				cp := *es
-				stats.Edges[key] = &cp
-			}
-		}
 		totalForbidden += forbidden[wi]
 	}
+	out := Pool(nodes)
+	stats.Edges = EdgesOf(stats.Procs, ids)
 	stats.ForbiddenSends = totalForbidden
 	if totalForbidden > 0 {
 		return &Result{Output: out, Stats: stats},

@@ -1,7 +1,7 @@
 package parallel
 
 import (
-	"sort"
+	"math/bits"
 	"time"
 
 	"parlog/internal/ast"
@@ -13,18 +13,28 @@ import (
 
 // EmitFunc carries one logical outgoing batch to a transport: dest is a
 // dense worker index (never the emitting node itself), pred a derived
-// predicate. The tuples slice must not be retained past the call unless the
-// transport copies it; the in-process and TCP transports both forward it
-// immediately.
+// predicate. The node hands the tuples slice over — it never touches it
+// again — so a transport may queue it; the tuples themselves are immutable
+// relation rows.
 type EmitFunc func(dest int, pred string, tuples []relation.Tuple)
 
 // Node is the transport-agnostic processor of the paper's abstract
-// architecture: it owns the local base-relation fragments and the @in/@out
-// relations, fires initialization rules, accepts incoming tuples, runs local
-// semi-naive iterations and routes freshly derived tuples per the scheme's
-// sending rules. Transports — the in-process goroutine runtime here and the
-// TCP runtime in internal/dist — deliver batches via Accept and carry the
-// batches handed to the EmitFunc, plus termination detection.
+// architecture: it owns the local base-relation fragments and one slot per
+// derived predicate, fires initialization rules, accepts incoming tuples,
+// runs local semi-naive iterations and routes freshly derived tuples per the
+// scheme's sending rules. Transports — the in-process goroutine runtime here
+// and the TCP runtime in internal/dist — deliver batches via Accept and carry
+// the batches handed to the EmitFunc, plus termination detection.
+//
+// Each derived tuple is stored once. The paper's processors keep a t_out and
+// a t_in per derived predicate, but Theorems 1 and 2 need only the
+// receive-side difference: a tuple routed to this node itself lives in the
+// slot's @in relation, with an origin bit marking it generated here, and
+// only a tuple bound solely for other nodes lives in the slot's out
+// relation. Routing runs before dedup, and because a tuple's destinations
+// are a function of the tuple, every derivation of it probes the same
+// relation — one hash probe per firing serves both the send-side dedup and
+// the receive-side difference.
 //
 // A Node is not safe for concurrent use; each transport drives it from a
 // single goroutine.
@@ -37,9 +47,8 @@ type Node struct {
 	// plans, or armed copies of them after EnableProfile.
 	rules []compiledRule
 
-	store relation.Store                // EDB fragments + @in relations
-	in    map[string]*relation.Relation // derived tuples received/kept, by pred
-	out   map[string]*relation.Relation // derived tuples generated here, by pred
+	store relation.Store // EDB fragments + @in relations, read by the plans
+	preds []predSlot     // one per derived predicate, in Program.preds order
 	wm    *seminaive.Watermarks
 
 	stats ProcStats
@@ -52,22 +61,48 @@ type Node struct {
 	// sink receives this node's events; nil disables observability.
 	sink obs.EventSink
 
-	// outBatch accumulates tuples per (destination, pred) within one local
-	// iteration.
-	outBatch map[int]map[string][]relation.Tuple
+	// batch[dest][slot] accumulates the tuples bound for one destination
+	// within one local iteration. Dense indexes in sorted predicate order
+	// make flush's send order deterministic without sorting.
+	batch [][][]relation.Tuple
 
 	// scratch holds the head tuple being probed, avoiding an allocation per
 	// firing.
 	scratch relation.Tuple
 
-	// routers holds the program's sending rules precompiled against this
-	// processor: pattern constants/repeated variables become column checks
-	// and the discriminating sequence becomes column positions, so routing
-	// a tuple allocates nothing.
-	routers map[string][]nodeRouter
-	// routeVals and destScratch are route's reusable buffers.
+	// routeVals and destScratch are route's reusable buffers; destScratch
+	// has room for every peer, so route never reallocates it.
 	routeVals   []ast.Value
 	destScratch []int
+}
+
+// predSlot is a node's state for one derived predicate.
+type predSlot struct {
+	name  string
+	inKey string // name + inSuffix, the plans' and watermarks' key
+	// in holds the tuples this node received or kept for itself; mine has
+	// bit r set when row r of in was also generated here.
+	in   *relation.Relation
+	mine []uint64
+	// out holds the tuples generated here whose destinations are all other
+	// nodes (or none); pooling reads it alongside in.
+	out *relation.Relation
+	// routers are the program's sending rules for this predicate,
+	// precompiled against this processor; selfOnly marks the
+	// communication-free scheme, whose only destination is the node itself.
+	routers  []nodeRouter
+	selfOnly bool
+}
+
+// markMine sets row's origin bit, reporting whether it was already set.
+func (s *predSlot) markMine(row int) bool {
+	w, bit := row>>6, uint64(1)<<(row&63)
+	for w >= len(s.mine) {
+		s.mine = append(s.mine, 0)
+	}
+	had := s.mine[w]&bit != 0
+	s.mine[w] |= bit
+	return had
 }
 
 // nodeRouter is one Router specialized to a processor: the per-tuple
@@ -128,48 +163,49 @@ func compileRouter(rt Router, procID int) nodeRouter {
 func NewNode(p *Program, wi int, global relation.Store) *Node {
 	procID := p.Procs.IDs()[wi]
 	n := &Node{
-		prog:     p,
-		wi:       wi,
-		procID:   procID,
-		rules:    p.rules[wi],
-		store:    relation.Store{},
-		in:       make(map[string]*relation.Relation),
-		out:      make(map[string]*relation.Relation),
-		wm:       &seminaive.Watermarks{Prev: map[string]int{}, Cur: map[string]int{}},
-		outBatch: make(map[int]map[string][]relation.Tuple),
+		prog:   p,
+		wi:     wi,
+		procID: procID,
+		rules:  p.rules[wi],
+		store:  relation.Store{},
+		preds:  make([]predSlot, len(p.preds)),
+		wm:     &seminaive.Watermarks{Prev: map[string]int{}, Cur: map[string]int{}},
+		batch:  make([][][]relation.Tuple, p.Procs.Len()),
 	}
 	n.stats.Proc = procID
+	n.stats.Sent = make([]EdgeStats, p.Procs.Len())
 	for pred := range p.EDB {
 		frag := fragmentFor(p, pred, wi, procID, global)
 		n.store[pred] = frag
 		n.stats.EDBTuples += frag.Len()
 	}
-	maxAr := 0
-	for pred, ar := range p.IDB {
-		rel := relation.New(ar)
-		n.in[pred] = rel
-		n.store[pred+inSuffix] = rel
-		n.out[pred] = relation.New(ar)
-		n.wm.Prev[pred+inSuffix] = 0
-		n.wm.Cur[pred+inSuffix] = 0
+	maxAr, maxSeq := 0, 0
+	for si, pred := range p.preds {
+		ar := p.IDB[pred]
+		s := &n.preds[si]
+		s.name, s.inKey = pred, pred+inSuffix
+		s.in, s.out = relation.New(ar), relation.New(ar)
+		n.store[s.inKey] = s.in
+		n.wm.Prev[s.inKey] = 0
+		n.wm.Cur[s.inKey] = 0
 		if ar > maxAr {
 			maxAr = ar
 		}
-	}
-	n.scratch = make(relation.Tuple, maxAr)
-	n.routers = make(map[string][]nodeRouter, len(p.routers))
-	maxSeq := 0
-	for pred, rts := range p.routers {
-		crs := make([]nodeRouter, len(rts))
-		for i, rt := range rts {
-			crs[i] = compileRouter(rt, procID)
-			if len(crs[i].seqPos) > maxSeq {
-				maxSeq = len(crs[i].seqPos)
+		for _, rt := range p.routers[pred] {
+			nr := compileRouter(rt, procID)
+			s.routers = append(s.routers, nr)
+			if len(nr.seqPos) > maxSeq {
+				maxSeq = len(nr.seqPos)
 			}
 		}
-		n.routers[pred] = crs
+		s.selfOnly = len(s.routers) == 1 && s.routers[0].self
 	}
+	for d := range n.batch {
+		n.batch[d] = make([][]relation.Tuple, len(p.preds))
+	}
+	n.scratch = make(relation.Tuple, maxAr)
 	n.routeVals = make([]ast.Value, maxSeq)
+	n.destScratch = make([]int, 0, p.Procs.Len())
 	return n
 }
 
@@ -248,38 +284,7 @@ func (n *Node) PeerProc(wi int) int {
 // step), then drains: the complete first unit of work. The sink sees the
 // initialization pass as iteration 0.
 func (n *Node) Init(emit EmitFunc) {
-	if n.sink != nil {
-		n.sink.IterationStart(n.procID, 0)
-	}
-	genBefore := n.stats.Generated
-	for ri := range n.rules {
-		cr := &n.rules[ri]
-		if !cr.init {
-			continue
-		}
-		fBefore, dupBefore := n.stats.Firings, n.stats.DupFirings
-		var t0 time.Time
-		if n.profile {
-			t0 = time.Now()
-		}
-		for _, plan := range cr.plans {
-			buf := n.scratch[:cr.arity]
-			n.stats.Firings += plan.Enumerate(n.store, nil, func(vals []ast.Value) bool {
-				n.emitTuple(cr.head, plan.HeadTupleInto(buf, vals))
-				return true
-			})
-		}
-		if n.profile {
-			n.recordRule(ri, fBefore, dupBefore, t0)
-		}
-		if n.sink != nil {
-			n.sink.RuleFirings(n.procID, cr.head, n.stats.Firings-fBefore, n.stats.DupFirings-dupBefore)
-		}
-	}
-	if n.sink != nil {
-		n.sink.IterationEnd(n.procID, 0, int(n.stats.Generated-genBefore))
-	}
-	n.flush(emit)
+	n.pass(0, true, nil, emit)
 	n.Drain(emit)
 }
 
@@ -288,10 +293,11 @@ func (n *Node) Init(emit EmitFunc) {
 // step). from is the sender's dense worker index (-1 when unknown). Call
 // Drain afterwards; transports may Accept several batches per Drain.
 func (n *Node) Accept(from int, pred string, tuples []relation.Tuple) {
-	rel, ok := n.in[pred]
+	si, ok := n.prog.slots[pred]
 	if !ok {
 		return // unknown predicate: a corrupt or stale message; ignore
 	}
+	rel := n.preds[si].in
 	dupBefore := n.stats.DupReceived
 	for _, t := range tuples {
 		n.stats.TuplesReceived++
@@ -310,57 +316,64 @@ func (n *Node) Accept(from int, pred string, tuples []relation.Tuple) {
 func (n *Node) Drain(emit EmitFunc) {
 	for {
 		grew := false
-		for pred, rel := range n.in {
-			key := pred + inSuffix
-			if rel.Len() > n.wm.Cur[key] {
+		for si := range n.preds {
+			s := &n.preds[si]
+			cur := n.wm.Cur[s.inKey]
+			if s.in.Len() > cur {
 				grew = true
 			}
-			n.wm.Prev[key] = n.wm.Cur[key]
-			n.wm.Cur[key] = rel.Len()
+			n.wm.Prev[s.inKey] = cur
+			n.wm.Cur[s.inKey] = s.in.Len()
 		}
 		if !grew {
 			return
 		}
 		n.stats.Iterations++
-		iter := int(n.stats.Iterations)
-		if n.sink != nil {
-			n.sink.IterationStart(n.procID, iter)
-		}
-		genBefore := n.stats.Generated
-		for ri := range n.rules {
-			cr := &n.rules[ri]
-			if cr.init {
-				continue
-			}
-			fBefore, dupBefore := n.stats.Firings, n.stats.DupFirings
-			var t0 time.Time
-			if n.profile {
-				t0 = time.Now()
-			}
-			for _, plan := range cr.plans {
-				buf := n.scratch[:cr.arity]
-				n.stats.Firings += plan.Enumerate(n.store, n.wm, func(vals []ast.Value) bool {
-					n.emitTuple(cr.head, plan.HeadTupleInto(buf, vals))
-					return true
-				})
-			}
-			if n.profile {
-				n.recordRule(ri, fBefore, dupBefore, t0)
-			}
-			if n.sink != nil {
-				n.sink.RuleFirings(n.procID, cr.head, n.stats.Firings-fBefore, n.stats.DupFirings-dupBefore)
-			}
-		}
-		if n.sink != nil {
-			n.sink.IterationEnd(n.procID, iter, int(n.stats.Generated-genBefore))
-		}
-		n.flush(emit)
+		n.pass(int(n.stats.Iterations), false, n.wm, emit)
 	}
 }
 
+// pass fires one local iteration — the initialization rules when init is
+// set, the recursive rules' delta variants under wm otherwise — then
+// flushes the iteration's outgoing batches.
+func (n *Node) pass(iter int, init bool, wm *seminaive.Watermarks, emit EmitFunc) {
+	if n.sink != nil {
+		n.sink.IterationStart(n.procID, iter)
+	}
+	genBefore := n.stats.Generated
+	for ri := range n.rules {
+		cr := &n.rules[ri]
+		if cr.init != init {
+			continue
+		}
+		fBefore, dupBefore := n.stats.Firings, n.stats.DupFirings
+		var t0 time.Time
+		if n.profile {
+			t0 = time.Now()
+		}
+		buf := n.scratch[:cr.arity]
+		for _, plan := range cr.plans {
+			n.stats.Firings += plan.Enumerate(n.store, wm, func(vals []ast.Value) bool {
+				n.emitTuple(cr.slot, cr.home, plan.HeadTupleInto(buf, vals))
+				return true
+			})
+		}
+		if n.profile {
+			n.recordRule(ri, fBefore, dupBefore, t0)
+		}
+		if n.sink != nil {
+			n.sink.RuleFirings(n.procID, cr.head, n.stats.Firings-fBefore, n.stats.DupFirings-dupBefore)
+		}
+	}
+	if n.sink != nil {
+		n.sink.IterationEnd(n.procID, iter, int(n.stats.Generated-genBefore))
+	}
+	n.flush(emit)
+}
+
 // recordRule accumulates one rule pass into its profile record. A firing that
-// survived local dedup is a New tuple at this site (emitTuple inserts into the
-// out relation before routing), so New = firings − local rederivations.
+// survived local dedup is a New tuple at this site, so New = firings − local
+// rederivations.
 func (n *Node) recordRule(ri int, fBefore, dupBefore int64, t0 time.Time) {
 	rp := n.ruleProfs[ri]
 	f := n.stats.Firings - fBefore
@@ -372,41 +385,65 @@ func (n *Node) recordRule(ri int, fBefore, dupBefore int64, t0 time.Time) {
 	rp.WallNs += time.Since(t0).Nanoseconds()
 }
 
-// emitTuple handles one freshly derived head tuple: dedup against this
-// processor's previous outputs, then route. t may be a scratch buffer; the
-// routed tuple is the stable copy the out relation stored.
-func (n *Node) emitTuple(pred string, t relation.Tuple) {
-	out := n.out[pred]
-	if !out.Insert(t) {
-		n.stats.DupFirings++
-		return
+// emitTuple handles one freshly derived head tuple of slot si: route it,
+// dedup it once, and queue a first generation for its remote destinations.
+// A tuple routed to this node itself dedups against @in, where the origin
+// bit tells a rederivation (DupFirings) from a tuple only received so far
+// (a first generation here, still owed to its other destinations). A tuple
+// bound only elsewhere dedups against out. home (the rule's heads are
+// proven to route here alone) skips routing. t may be a scratch buffer; the
+// queued tuple is the stored row.
+func (n *Node) emitTuple(si int, home bool, t relation.Tuple) {
+	s := &n.preds[si]
+	var dests []int
+	self := home || s.selfOnly
+	if !self {
+		dests, self = n.route(s, t)
+	}
+	if self {
+		row, _ := s.in.InsertRow(t)
+		if s.markMine(row) {
+			n.stats.DupFirings++
+			return
+		}
+		t = s.in.Row(row)
+	} else {
+		row, fresh := s.out.InsertRow(t)
+		if !fresh {
+			n.stats.DupFirings++
+			return
+		}
+		t = s.out.Row(row)
 	}
 	n.stats.Generated++
-	n.route(pred, out.Row(out.Len()-1))
+	for _, wi := range dests {
+		n.batch[wi][si] = append(n.batch[wi][si], t)
+	}
 }
 
-// route applies every router of pred to t and queues the tuple for its
-// destinations. Self-destinations enter the local @in relation immediately
-// (they are free, not communication). The precompiled routers and the
-// node-owned scratch buffers make this allocation-free per tuple.
-func (n *Node) route(pred string, t relation.Tuple) {
-	routers := n.routers[pred]
-	if len(routers) == 0 {
-		return
-	}
-	dests := n.destScratch[:0]
-	add := func(wi int) []int {
+// route applies every router of s to t. It returns the remote destinations
+// (dense indexes, deduplicated, valid until the next call) and whether the
+// node itself is a destination — self-routed tuples are free, not
+// communication. The precompiled routers and the node-owned scratch buffers
+// make this allocation-free per tuple.
+func (n *Node) route(s *predSlot, t relation.Tuple) (dests []int, self bool) {
+	dests = n.destScratch[:0]
+	add := func(wi int) {
+		if wi == n.wi {
+			self = true
+			return
+		}
 		for _, d := range dests {
 			if d == wi {
-				return dests
+				return
 			}
 		}
-		return append(dests, wi)
+		dests = append(dests, wi)
 	}
-	for i := range routers {
-		rt := &routers[i]
+	for i := range s.routers {
+		rt := &s.routers[i]
 		if rt.self {
-			dests = add(n.wi)
+			self = true
 			continue
 		}
 		if len(t) != rt.arity {
@@ -429,8 +466,8 @@ func (n *Node) route(pred string, t relation.Tuple) {
 			continue // cannot ever fire through this occurrence
 		}
 		if rt.broadcast {
-			for wi := 0; wi < n.prog.Procs.Len(); wi++ {
-				dests = add(wi)
+			for wi := 0; wi < len(n.batch); wi++ {
+				add(wi)
 			}
 			continue
 		}
@@ -438,70 +475,109 @@ func (n *Node) route(pred string, t relation.Tuple) {
 		for k, c := range rt.seqPos {
 			vals[k] = t[c]
 		}
-		dest := rt.h.Apply(vals)
-		if wi, ok := n.prog.Procs.Index(dest); ok {
-			dests = add(wi)
+		if wi, ok := n.prog.Procs.Index(rt.h.Apply(vals)); ok {
+			add(wi)
 		}
 	}
-	n.destScratch = dests[:0]
-	for _, wi := range dests {
-		if wi == n.wi {
-			n.in[pred].Insert(t) // local keep: visible to the next iteration
-			continue
-		}
-		m := n.outBatch[wi]
-		if m == nil {
-			m = make(map[string][]relation.Tuple)
-			n.outBatch[wi] = m
-		}
-		m[pred] = append(m[pred], t)
-	}
+	return dests, self
 }
 
-// flush hands the accumulated logical batches to the transport, in sorted
-// (destination, pred) order so a deterministic scheduler sees an identical
-// send sequence run-to-run. The batch maps are tiny (bounded by procs and
-// channel predicates), so the sort is noise next to the sends themselves.
+// flush hands the accumulated logical batches to the transport in
+// (destination, pred) order, so a deterministic scheduler sees an
+// identical send sequence run-to-run. Each handed-off slice belongs to the
+// transport from then on (the in-process runtime queues it).
 func (n *Node) flush(emit EmitFunc) {
-	if len(n.outBatch) == 0 {
-		return
-	}
-	dests := make([]int, 0, len(n.outBatch))
-	for wi := range n.outBatch {
-		dests = append(dests, wi)
-	}
-	sort.Ints(dests)
-	for _, wi := range dests {
-		byPred := n.outBatch[wi]
-		preds := make([]string, 0, len(byPred))
-		for pred := range byPred {
-			preds = append(preds, pred)
+	for wi, byPred := range n.batch {
+		for si, tuples := range byPred {
+			if len(tuples) == 0 {
+				continue
+			}
+			byPred[si] = nil
+			emit(wi, n.preds[si].name, tuples)
 		}
-		sort.Strings(preds)
-		for _, pred := range preds {
-			emit(wi, pred, byPred[pred])
-		}
-		delete(n.outBatch, wi)
 	}
 }
 
 // Stats returns a snapshot of the node's accounting (transport-recorded
 // fields included).
-func (n *Node) Stats() ProcStats { return n.stats }
+func (n *Node) Stats() ProcStats {
+	st := n.stats
+	st.Sent = append([]EdgeStats(nil), n.stats.Sent...)
+	return st
+}
 
-// RecordSent adds transport-level tuple-send accounting.
-func (n *Node) RecordSent(tuples int) { n.stats.TuplesSent += int64(tuples) }
+// RecordSent accounts one batch of tuples the transport sent to the dense
+// worker index dest: the processor's TuplesSent and its per-destination
+// channel usage, from which both runtimes build Stats.Edges.
+func (n *Node) RecordSent(dest, tuples int) {
+	n.stats.TuplesSent += int64(tuples)
+	n.stats.Sent[dest].Messages++
+	n.stats.Sent[dest].Tuples += int64(tuples)
+}
 
 // RecordBusy adds transport-measured busy time.
 func (n *Node) RecordBusy(d time.Duration) { n.stats.Busy += d }
 
-// Outputs exposes the node's generated relations for final pooling. Callers
-// must not modify them.
-func (n *Node) Outputs() map[string]*relation.Relation { return n.out }
+// Pool performs the final pooling step over finished nodes: each derived
+// predicate's result is the union, over the nodes, of their @in and out
+// relations. Every tuple a node generated sits in one of its two — in @in
+// with its origin bit when the node is among the tuple's destinations, in
+// out otherwise — and every other @in row was received, so it was
+// generated at another node. Pool adopts the largest of these relations
+// (so the nodes must not be used afterwards) and adds into it every out
+// row and the origin-marked rows of every other @in; the received rows
+// arrive through their generators. The nodes must share one Program; every
+// derived predicate of it gets an entry, empty or not.
+func Pool(nodes []*Node) relation.Store {
+	out := relation.Store{}
+	if len(nodes) == 0 {
+		return out
+	}
+	for si, pred := range nodes[0].prog.preds {
+		dst := nodes[0].preds[si].in
+		for _, n := range nodes {
+			for _, r := range [2]*relation.Relation{n.preds[si].in, n.preds[si].out} {
+				if r.Len() > dst.Len() {
+					dst = r
+				}
+			}
+		}
+		more := 0
+		for _, n := range nodes {
+			s := &n.preds[si]
+			if s.in != dst {
+				for _, w := range s.mine {
+					more += bits.OnesCount64(w)
+				}
+			}
+			if s.out != dst {
+				more += s.out.Len()
+			}
+		}
+		dst.Grow(more)
+		for _, n := range nodes {
+			s := &n.preds[si]
+			if s.in != dst {
+				for w, word := range s.mine {
+					for ; word != 0; word &= word - 1 {
+						dst.Insert(s.in.Row(w<<6 | bits.TrailingZeros64(word)))
+					}
+				}
+			}
+			if s.out != dst {
+				for row := 0; row < s.out.Len(); row++ {
+					dst.Insert(s.out.Row(row))
+				}
+			}
+		}
+		out[pred] = dst
+	}
+	return out
+}
 
 // Snapshot captures the node's @in relations — the derived tuples this
 // bucket has received or kept. Because every other piece of node state
-// (the out relations, the local keeps, the watermarks) is a monotone
+// (the out relations, the origin bits, the watermarks) is a monotone
 // function of the EDB fragment and these tuples, a fresh node that runs
 // Init, Accepts the snapshot and Drains converges to a state at least as
 // advanced as this one: the snapshot is a complete bucket checkpoint.
@@ -509,8 +585,9 @@ func (n *Node) Outputs() map[string]*relation.Relation { return n.out }
 // relations' arenas, not copies: arena rows are immutable once written,
 // so the snapshot stays valid however the node evolves afterwards.
 func (n *Node) Snapshot() map[string][]relation.Tuple {
-	snap := make(map[string][]relation.Tuple, len(n.in))
-	for pred, rel := range n.in {
+	snap := make(map[string][]relation.Tuple, len(n.preds))
+	for si := range n.preds {
+		rel := n.preds[si].in
 		if rel.Len() == 0 {
 			continue
 		}
@@ -518,7 +595,7 @@ func (n *Node) Snapshot() map[string][]relation.Tuple {
 		for i := range rows {
 			rows[i] = rel.Row(i)
 		}
-		snap[pred] = rows
+		snap[n.preds[si].name] = rows
 	}
 	return snap
 }

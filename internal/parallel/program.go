@@ -9,6 +9,7 @@ package parallel
 
 import (
 	"fmt"
+	"sort"
 
 	"parlog/internal/analysis"
 	"parlog/internal/ast"
@@ -48,8 +49,13 @@ type compiledRule struct {
 	// rules without derived body atoms — those run once at initialization).
 	plans []*seminaive.Plan
 	head  string
+	slot  int // head's index into Program.preds (a node's per-predicate slots)
 	arity int
 	init  bool // no derived body atoms: fires once at start
+	// home marks a rule whose every head tuple routes to the processor
+	// that derived it, and nowhere else (see routesHome): its firings skip
+	// routing.
+	home bool
 }
 
 // edbNeed records which subset of one base relation a rule's body atom needs
@@ -71,6 +77,11 @@ type Program struct {
 	// IDB and EDB map predicates to arities.
 	IDB map[string]int
 	EDB map[string]int
+	// preds lists the derived predicates in sorted order; a node keeps its
+	// per-predicate state in slots of the same order, and slots maps a name
+	// back to its index.
+	preds []string
+	slots map[string]int
 	// rules[k] is the k-th worker's compiled rule set (indexed by dense
 	// processor index).
 	rules [][]compiledRule
@@ -112,6 +123,9 @@ func (p *Program) PinnedBuckets() []bool {
 type ruleSpec struct {
 	seq  []string
 	hFor func(i int) hashpart.Func
+	// routerH records that hFor is the very function the head
+	// predicate's router applies, so routesHome may compare columns alone.
+	routerH bool
 }
 
 // build compiles the generic scheme description into a Program.
@@ -158,10 +172,21 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 		}
 	}
 
+	preds := make([]string, 0, len(idb))
+	for pred := range idb {
+		preds = append(preds, pred)
+	}
+	sort.Strings(preds)
+	slots := make(map[string]int, len(preds))
+	for i, pred := range preds {
+		slots[pred] = i
+	}
 	p := &Program{
 		Procs:   procs,
 		IDB:     idb,
 		EDB:     edb,
+		preds:   preds,
+		slots:   slots,
 		rules:   make([][]compiledRule, procs.Len()),
 		routers: make(map[string][]Router),
 		facts:   facts,
@@ -226,7 +251,10 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 				h := hashpart.AsHashFunc(spec.hFor(procID))
 				wr = wr.WithConstraints(ast.NewHashConstraint(h, spec.seq, procID))
 			}
-			cr := compiledRule{head: r.Head.Pred, arity: r.Head.Arity()}
+			cr := compiledRule{
+				head: r.Head.Pred, slot: slots[r.Head.Pred], arity: r.Head.Arity(),
+				home: spec.routerH && routesHome(r.Head, spec.seq, p.routers[r.Head.Pred]),
+			}
 			if len(recAtoms) == 0 {
 				cr.init = true
 				cr.plans = []*seminaive.Plan{seminaive.Compile(wr, nil)}
@@ -238,6 +266,37 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 		p.rules[wi] = ws
 	}
 	return p, nil
+}
+
+// routesHome reports whether every head tuple of a rule constrained by
+// h(seq) = i routes to processor i and nowhere else, given that the head
+// predicate's router applies the same h: the predicate has one
+// point-to-point router, whose pattern (distinct variables) matches every
+// tuple and whose sequence columns hold, in order, the head's seq
+// variables. The router then recomputes h(seq) = i for each tuple — Theorem
+// 3's communication-free argument, applied per rule — so the node may skip
+// it.
+func routesHome(head ast.Atom, seq []string, rts []Router) bool {
+	if len(rts) != 1 {
+		return false
+	}
+	rt := rts[0]
+	if rt.Self || rt.Broadcast || len(rt.Seq) != len(seq) || len(rt.Pattern.Args) != len(head.Args) {
+		return false
+	}
+	col := make(map[string]int, len(rt.Pattern.Args))
+	for i, t := range rt.Pattern.Args {
+		if _, dup := col[t.VarName]; !t.IsVar() || dup {
+			return false
+		}
+		col[t.VarName] = i
+	}
+	for k, v := range rt.Seq {
+		if t := head.Args[col[v]]; !t.IsVar() || t.VarName != seq[k] {
+			return false
+		}
+	}
+	return true
 }
 
 // BuildQ compiles the Section 3 non-redundant scheme for a linear sirup.
@@ -264,9 +323,11 @@ func BuildQ(s *analysis.Sirup, spec rewrite.SirupSpec) (*Program, error) {
 		router.Broadcast = true
 	}
 	rules, _ := s.Program.FactTuples()
-	specs, err := sirupRuleSpecs(rules, s, spec.VR, spec.VE,
-		func(int) hashpart.Func { return spec.H },
-		func(int) hashpart.Func { return hp })
+	// The router applies h, which also constrains the recursive rule and,
+	// unless h' is given separately, the exit rule.
+	specs, err := sirupRuleSpecs(rules, s,
+		ruleSpec{seq: spec.VR, hFor: func(int) hashpart.Func { return spec.H }, routerH: true},
+		ruleSpec{seq: spec.VE, hFor: func(int) hashpart.Func { return hp }, routerH: spec.HP == nil})
 	if err != nil {
 		return nil, err
 	}
@@ -280,9 +341,8 @@ func BuildNoComm(s *analysis.Sirup, spec rewrite.NoCommSpec) (*Program, error) {
 		return nil, err
 	}
 	rules, _ := s.Program.FactTuples()
-	specs, err := sirupRuleSpecs(rules, s, nil, spec.VE,
-		nil,
-		func(int) hashpart.Func { return spec.HP })
+	specs, err := sirupRuleSpecs(rules, s, ruleSpec{},
+		ruleSpec{seq: spec.VE, hFor: func(int) hashpart.Func { return spec.HP }})
 	if err != nil {
 		return nil, err
 	}
@@ -303,9 +363,8 @@ func BuildR(s *analysis.Sirup, spec rewrite.RSpec) (*Program, error) {
 		return nil, err
 	}
 	rules, _ := s.Program.FactTuples()
-	specs, err := sirupRuleSpecs(rules, s, nil, spec.VE,
-		nil,
-		func(int) hashpart.Func { return spec.HP })
+	specs, err := sirupRuleSpecs(rules, s, ruleSpec{},
+		ruleSpec{seq: spec.VE, hFor: func(int) hashpart.Func { return spec.HP }})
 	if err != nil {
 		return nil, err
 	}
@@ -327,10 +386,10 @@ func freshVarTerms(n int) []ast.Term {
 	return out
 }
 
-// sirupRuleSpecs assigns (seq, h) to the sirup's two rules in the order they
-// appear in rules. recH == nil leaves the recursive rule unconstrained.
-func sirupRuleSpecs(rules []ast.Rule, s *analysis.Sirup, vr []string, ve []string,
-	recH, exitH func(int) hashpart.Func) ([]ruleSpec, error) {
+// sirupRuleSpecs assigns rec to the sirup's recursive rule and exit to its
+// exit rule, in the order the rules appear. A zero rec leaves the
+// recursive rule unconstrained.
+func sirupRuleSpecs(rules []ast.Rule, s *analysis.Sirup, rec, exit ruleSpec) ([]ruleSpec, error) {
 	if len(rules) != 2 {
 		return nil, fmt.Errorf("parallel: sirup with %d rules", len(rules))
 	}
@@ -343,9 +402,9 @@ func sirupRuleSpecs(rules []ast.Rule, s *analysis.Sirup, vr []string, ve []strin
 			}
 		}
 		if recursive {
-			specs[i] = ruleSpec{seq: vr, hFor: recH}
+			specs[i] = rec
 		} else {
-			specs[i] = ruleSpec{seq: ve, hFor: exitH}
+			specs[i] = exit
 		}
 	}
 	return specs, nil

@@ -285,7 +285,17 @@ func PrepareEDB(p *Program, edb relation.Store) (relation.Store, error) {
 // Placements computes the per-predicate base-relation layout the program
 // induces over the prepared global EDB.
 func Placements(p *Program, global relation.Store) map[string]hashpart.Placement {
-	return makePlacements(p, global)
+	return makePlacements(p, global, func(pred string, wi int) int {
+		return fragmentFor(p, pred, wi, p.Procs.IDs()[wi], global).Len()
+	})
+}
+
+// nodePlacements reads the layout off the fragments the nodes already
+// materialized, instead of fragmenting the EDB a second time.
+func nodePlacements(p *Program, global relation.Store, nodes []*Node) map[string]hashpart.Placement {
+	return makePlacements(p, global, func(pred string, wi int) int {
+		return nodes[wi].store[pred].Len()
+	})
 }
 
 // Run executes the compiled program over the given base relations and pools
@@ -304,9 +314,10 @@ func Run(p *Program, edb relation.Store, cfg RunConfig) (*Result, error) {
 	// Distribute the EDB: each worker materializes the union of the
 	// fragments its rules need (the paper's b_k^i / D_in^i).
 	workers := make([]*worker, n)
-	placements := makePlacements(p, global)
+	nodes := make([]*Node, n)
 	for wi := 0; wi < n; wi++ {
 		workers[wi] = newWorker(p, wi, global)
+		nodes[wi] = workers[wi].node
 		workers[wi].node.SetSink(cfg.Sink)
 		if cfg.Profile {
 			workers[wi].node.EnableProfile()
@@ -349,43 +360,21 @@ func Run(p *Program, edb relation.Store, cfg RunConfig) (*Result, error) {
 	}
 
 	// Final pooling: union each derived predicate across processors.
-	out := relation.Store{}
-	stats := &Stats{
-		Edges:      make(map[[2]int]*EdgeStats),
-		Placements: placements,
-		Wall:       wall,
-	}
-	for pred, ar := range p.IDB {
-		out.Get(pred, ar)
-	}
+	stats := &Stats{Placements: nodePlacements(p, global, nodes), Wall: wall}
 	var prof *seminaive.Profile
 	if cfg.Profile {
 		prof = &seminaive.Profile{Engine: "parallel", WallNs: wall.Nanoseconds()}
 	}
 	var forbidden int64
 	for _, w := range workers {
-		for pred, rel := range w.node.Outputs() {
-			dst := out.Get(pred, rel.Arity())
-			for i := 0; i < rel.Len(); i++ {
-				dst.Insert(rel.Row(i))
-			}
-		}
 		if prof != nil {
 			prof.AddRules(w.node.Profile())
 		}
 		stats.Procs = append(stats.Procs, w.node.Stats())
-		for e, es := range w.edges {
-			key := [2]int{p.Procs.IDs()[e[0]], p.Procs.IDs()[e[1]]}
-			if prev, ok := stats.Edges[key]; ok {
-				prev.Messages += es.Messages
-				prev.Tuples += es.Tuples
-			} else {
-				cp := *es
-				stats.Edges[key] = &cp
-			}
-		}
 		forbidden += w.forbidden
 	}
+	out := Pool(nodes)
+	stats.Edges = EdgesOf(stats.Procs, p.Procs.IDs())
 	stats.ForbiddenSends = forbidden
 	if forbidden > 0 {
 		return &Result{Output: out, Stats: stats, Profile: prof},
@@ -394,15 +383,14 @@ func Run(p *Program, edb relation.Store, cfg RunConfig) (*Result, error) {
 	return &Result{Output: out, Stats: stats, Profile: prof}, nil
 }
 
-// makePlacements computes per-predicate placement statistics by replaying
-// the same fragmentation the workers perform.
-func makePlacements(p *Program, global relation.Store) map[string]hashpart.Placement {
+// makePlacements computes per-predicate placement statistics from the
+// fragment size of each (predicate, dense worker index).
+func makePlacements(p *Program, global relation.Store, fragLen func(pred string, wi int) int) map[string]hashpart.Placement {
 	placements := make(map[string]hashpart.Placement, len(p.EDB))
 	for pred := range p.EDB {
 		pl := hashpart.Placement{Pred: pred, Partitioned: true, TuplesPerProc: make([]int, p.Procs.Len())}
-		for wi, procID := range p.Procs.IDs() {
-			frag := fragmentFor(p, pred, wi, procID, global)
-			pl.TuplesPerProc[wi] = frag.Len()
+		for wi := range pl.TuplesPerProc {
+			pl.TuplesPerProc[wi] = fragLen(pred, wi)
 		}
 		// Partitioned iff the total equals at most the relation size.
 		total := 0
@@ -464,7 +452,6 @@ type worker struct {
 	inbox     *mailbox
 	forbidden int64
 	jitter    uint64 // xorshift state for ChaosJitter
-	edges     map[[2]int]*EdgeStats
 }
 
 func newWorker(p *Program, wi int, global relation.Store) *worker {
@@ -474,7 +461,6 @@ func newWorker(p *Program, wi int, global relation.Store) *worker {
 		procID: p.Procs.IDs()[wi],
 		inbox:  newMailbox(),
 		jitter: uint64(wi)*0x9e3779b97f4a7c15 + 1,
-		edges:  make(map[[2]int]*EdgeStats),
 	}
 }
 
@@ -556,15 +542,7 @@ func (w *worker) emitFunc(workers []*worker, det detector, cfg RunConfig) EmitFu
 					w.jitter ^= w.jitter << 17
 					time.Sleep(time.Duration(w.jitter % uint64(cfg.ChaosJitter)))
 				}
-				w.node.RecordSent(len(batch))
-				e := [2]int{w.wi, wi}
-				es := w.edges[e]
-				if es == nil {
-					es = &EdgeStats{}
-					w.edges[e] = es
-				}
-				es.Messages++
-				es.Tuples += int64(len(batch))
+				w.node.RecordSent(wi, len(batch))
 				if sink := w.node.Sink(); sink != nil {
 					sink.MessageSent(w.procID, toProc, pred, len(batch))
 				}

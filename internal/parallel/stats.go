@@ -35,6 +35,9 @@ type ProcStats struct {
 	Busy time.Duration
 	// EDBTuples is the number of base-relation tuples materialized here.
 	EDBTuples int
+	// Sent[d] accounts the batches this processor sent to the processor of
+	// dense index d; Stats.Edges is built from it (see EdgesOf).
+	Sent []EdgeStats
 }
 
 // EdgeStats accounts one directed channel i→j.
@@ -56,6 +59,29 @@ type Stats struct {
 	// ForbiddenSends counts tuples that the topology restriction suppressed;
 	// nonzero means the chosen topology was insufficient for the scheme.
 	ForbiddenSends int64
+}
+
+// EdgesOf builds the Stats.Edges map — [from,to] processor ids to channel
+// usage — from per-processor Sent counters; ids maps dense indexes to
+// processor ids. Processors that share an id (strata of one run) add up.
+func EdgesOf(procs []ProcStats, ids []int) map[[2]int]*EdgeStats {
+	edges := make(map[[2]int]*EdgeStats)
+	for _, ps := range procs {
+		for d, es := range ps.Sent {
+			if es.Messages == 0 {
+				continue
+			}
+			key := [2]int{ps.Proc, ids[d]}
+			if prev, ok := edges[key]; ok {
+				prev.Messages += es.Messages
+				prev.Tuples += es.Tuples
+			} else {
+				cp := es
+				edges[key] = &cp
+			}
+		}
+	}
+	return edges
 }
 
 // TotalFirings sums firings over all processors.

@@ -180,12 +180,29 @@ func (r *Relation) hashRow(i int) uint64 {
 // panics on arity mismatch — that is always an engine bug, never
 // data-dependent.
 func (r *Relation) Insert(t Tuple) bool {
+	if r.counts != nil {
+		if len(t) != r.arity {
+			panic(fmt.Sprintf("relation: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
+		}
+		_, alive := r.InsertDelta(t, 1)
+		return alive
+	}
+	_, fresh := r.InsertRow(t)
+	return fresh
+}
+
+// InsertRow adds t if not present and returns its row id either way:
+// the new row when fresh, the existing one when t was already stored. One
+// hash probe serves both the membership test and the lookup, so callers
+// that annotate rows (a parallel worker's origin bits) pay no second
+// probe. Plain set mode only; InsertRow panics on a counted relation or an
+// arity mismatch.
+func (r *Relation) InsertRow(t Tuple) (row int, fresh bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
 	if r.counts != nil {
-		_, alive := r.InsertDelta(t, 1)
-		return alive
+		panic("relation: InsertRow on a counted relation")
 	}
 	i := hashVals(t) & r.mask
 	for {
@@ -194,26 +211,29 @@ func (r *Relation) Insert(t Tuple) bool {
 			break
 		}
 		if r.rowEqual(int(s-1), t) {
-			return false
+			return int(s - 1), false
 		}
 		i = (i + 1) & r.mask
 	}
-	row := r.n
+	row = r.n
 	r.data = append(r.data, t...)
 	r.n++
 	r.table[i] = int32(row + 1)
 	if uint64(r.n)*4 >= uint64(len(r.table))*3 {
 		r.growTable()
 	}
-	return true
+	return row, true
 }
 
-// growTable doubles the hash table, rehashing every row from the arena.
-// Superseded rows (counted mode) are skipped: only the canonical physical
-// row of each tuple lives in the table.
-func (r *Relation) growTable() {
-	nt := make([]int32, len(r.table)*2)
-	mask := uint64(len(nt) - 1)
+// growTable doubles the hash table.
+func (r *Relation) growTable() { r.rehash(len(r.table) * 2) }
+
+// rehash rebuilds the hash table at size slots (a power of two), rehashing
+// every row from the arena. Superseded rows (counted mode) are skipped:
+// only the canonical physical row of each tuple lives in the table.
+func (r *Relation) rehash(size int) {
+	nt := make([]int32, size)
+	mask := uint64(size - 1)
 	for row := 0; row < r.n; row++ {
 		if r.counts != nil && r.counts[row] == countSuperseded {
 			continue
@@ -226,6 +246,25 @@ func (r *Relation) growTable() {
 	}
 	r.table = nt
 	r.mask = mask
+}
+
+// Grow makes room for n more rows: the arena and the dedup table are sized
+// once, so a bulk load of up to n rows neither reallocates the arena nor
+// rehashes midway.
+func (r *Relation) Grow(n int) {
+	need := r.n + n
+	if cap(r.data) < need*r.arity {
+		data := make([]ast.Value, len(r.data), need*r.arity)
+		copy(data, r.data)
+		r.data = data
+	}
+	size := len(r.table)
+	for uint64(need)*4 >= uint64(size)*3 {
+		size *= 2
+	}
+	if size > len(r.table) {
+		r.rehash(size)
+	}
 }
 
 // Contains reports membership; in counted mode, membership of the live set.

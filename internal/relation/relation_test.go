@@ -30,6 +30,43 @@ func TestInsertDeduplicates(t *testing.T) {
 	}
 }
 
+// TestInsertRow checks that InsertRow returns the stored row for a
+// duplicate and a fresh row id for a new tuple, and that its dedup agrees
+// with Insert on a random stream large enough to grow the table.
+func TestInsertRow(t *testing.T) {
+	r := New(2)
+	row, fresh := r.InsertRow(tup(1, 2))
+	if row != 0 || !fresh {
+		t.Fatalf("first InsertRow = (%d, %v), want (0, true)", row, fresh)
+	}
+	if row, fresh := r.InsertRow(tup(3, 4)); row != 1 || !fresh {
+		t.Fatalf("second InsertRow = (%d, %v), want (1, true)", row, fresh)
+	}
+	if row, fresh := r.InsertRow(tup(1, 2)); row != 0 || fresh {
+		t.Fatalf("duplicate InsertRow = (%d, %v), want (0, false)", row, fresh)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	a, b := New(2), New(2)
+	for i := 0; i < 5000; i++ {
+		tu := tup(ast.Value(rng.Intn(60)), ast.Value(rng.Intn(60)))
+		want := a.Insert(tu)
+		row, fresh := b.InsertRow(tu)
+		if fresh != want {
+			t.Fatalf("step %d: InsertRow fresh=%v, Insert new=%v", i, fresh, want)
+		}
+		if !b.Row(row).Equal(tu) {
+			t.Fatalf("step %d: row %d holds %v, want %v", i, row, b.Row(row), tu)
+		}
+		if fresh && row != b.Len()-1 {
+			t.Fatalf("step %d: fresh row id %d, want %d", i, row, b.Len()-1)
+		}
+	}
+	if !a.Equal(b) {
+		t.Fatal("InsertRow and Insert built different sets")
+	}
+}
+
 func TestInsertCopiesTuple(t *testing.T) {
 	r := New(1)
 	backing := Tuple{7}

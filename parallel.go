@@ -124,10 +124,7 @@ func evalParallelStratified(ctx context.Context, p *Program, edb Store, opts Eva
 	}
 
 	h := hashpart.ModHash{N: opts.Workers, Seed: opts.Seed}
-	agg := &parallel.Stats{
-		Edges:      map[[2]int]*parallel.EdgeStats{},
-		Placements: map[string]hashpart.Placement{},
-	}
+	agg := &parallel.Stats{Placements: map[string]hashpart.Placement{}}
 	perProc := map[int]parallel.ProcStats{}
 	output := Store{}
 	var prof *Profile
@@ -186,16 +183,14 @@ func evalParallelStratified(ctx context.Context, p *Program, edb Store, opts Eva
 			cur.Iterations += ps.Iterations
 			cur.Busy += ps.Busy
 			cur.EDBTuples += ps.EDBTuples
-			perProc[ps.Proc] = cur
-		}
-		for e, es := range res.Stats.Edges {
-			if prev, ok := agg.Edges[e]; ok {
-				prev.Messages += es.Messages
-				prev.Tuples += es.Tuples
-			} else {
-				cp := *es
-				agg.Edges[e] = &cp
+			if cur.Sent == nil {
+				cur.Sent = make([]parallel.EdgeStats, len(ps.Sent))
 			}
+			for d, es := range ps.Sent {
+				cur.Sent[d].Messages += es.Messages
+				cur.Sent[d].Tuples += es.Tuples
+			}
+			perProc[ps.Proc] = cur
 		}
 		for pred, pl := range res.Stats.Placements {
 			agg.Placements[pred] = pl
@@ -209,6 +204,8 @@ func evalParallelStratified(ctx context.Context, p *Program, edb Store, opts Eva
 	for _, id := range ids {
 		agg.Procs = append(agg.Procs, perProc[id])
 	}
+	// Every stratum runs on the same processor set {0, …, Workers−1}.
+	agg.Edges = parallel.EdgesOf(agg.Procs, hashpart.RangeProcs(opts.Workers).IDs())
 	return &Result{Output: output, Stats: agg, Profile: prof}, nil
 }
 
@@ -373,7 +370,7 @@ func evalDistributed(ctx context.Context, p *Program, edb Store, opts EvalOption
 	}
 	stats := &parallel.Stats{
 		Procs:      res.Stats,
-		Edges:      map[[2]int]*parallel.EdgeStats{},
+		Edges:      parallel.EdgesOf(res.Stats, prog.Procs.IDs()),
 		Placements: parallel.Placements(prog, global),
 		Wall:       res.Wall,
 	}

@@ -330,6 +330,48 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 	}
 }
 
+// TestEdgeStatsAgreeAcrossRuntimes checks that both worker runtimes report
+// per-edge traffic from the same node counters: on Example 3 the tuples
+// each channel carries are fixed by the scheme (a tuple's generator and
+// destination do not depend on the schedule), so the goroutine and TCP
+// runtimes must agree per edge, and both must count messages.
+func TestEdgeStatsAgreeAcrossRuntimes(t *testing.T) {
+	edb := Store{"par": workload.RandomGraph(12, 26, 9)}
+	p := MustParse(`
+anc(X, Y) :- par(X, Y).
+anc(X, Y) :- par(X, Z), anc(Z, Y).
+`)
+	opts := EvalOptions{Workers: 2, Strategy: StrategyHashPartition, VR: []string{"Z"}, VE: []string{"X"}}
+	par, err := EvalParallel(context.Background(), p, edb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := EvalDistributed(context.Background(), p, edb, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*ParallelStats{"parallel": par.Stats, "dist": dist.Stats} {
+		if st.TotalMessages() == 0 {
+			t.Errorf("%s: no messages reported", name)
+		}
+		var tuples int64
+		for _, es := range st.Edges {
+			tuples += es.Tuples
+		}
+		if tuples != st.TotalTuplesSent() {
+			t.Errorf("%s: edges carry %d tuples, processors sent %d", name, tuples, st.TotalTuplesSent())
+		}
+	}
+	if len(par.Stats.Edges) != len(dist.Stats.Edges) {
+		t.Errorf("parallel reports %d edges, dist %d", len(par.Stats.Edges), len(dist.Stats.Edges))
+	}
+	for e, es := range par.Stats.Edges {
+		if d := dist.Stats.Edges[e]; d == nil || d.Tuples != es.Tuples {
+			t.Errorf("edge %v: parallel carried %d tuples, dist %v", e, es.Tuples, d)
+		}
+	}
+}
+
 func TestSnapshotQuery(t *testing.T) {
 	ctx := context.Background()
 	p := MustParse(ancestorSrc)
