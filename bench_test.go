@@ -19,7 +19,6 @@ import (
 	"parlog/internal/relation"
 	"parlog/internal/rewrite"
 	"parlog/internal/seminaive"
-	"parlog/internal/termdetect"
 	"parlog/internal/workload"
 )
 
@@ -392,54 +391,6 @@ p(X, Y) :- p(Y, Z), r(X, Z).
 		if _, err := parallel.Run(p, edb, parallel.RunConfig{Topology: topo}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- termination detectors (design ablation) ---
-
-func BenchmarkTerminationModes(b *testing.B) {
-	edb := relation.Store{"par": workload.RandomGraph(60, 240, 7)}
-	for _, tc := range []struct {
-		name string
-		mode parallel.TerminationMode
-	}{
-		{"credit", parallel.TermCredit},
-		{"counting", parallel.TermCounting},
-		{"dijkstra-scholten", parallel.TermDijkstraScholten},
-	} {
-		tc := tc
-		b.Run(tc.name, func(b *testing.B) {
-			s := benchSirup(b)
-			p, err := parallel.BuildQ(s, rewrite.SirupSpec{
-				Procs: hashpart.RangeProcs(4),
-				VR:    []string{"Z"}, VE: []string{"X"},
-				H: hashpart.ModHash{N: 4},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := parallel.Run(p, edb, parallel.RunConfig{Mode: tc.mode}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- termination substrate microbenchmarks ---
-
-func BenchmarkCreditDetector(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c := termdetect.NewCredit()
-		c.Add(1000)
-		for k := 0; k < 1000; k++ {
-			c.Done()
-		}
-		<-c.Quiesced()
 	}
 }
 

@@ -161,10 +161,13 @@ func TestCheckpointKillDuringCheckpointing(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 6)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 6, KillConn: 1, KillAfterWrites: 20})
+	// The third batch routed to bucket 1 arms the kill: by then its second
+	// batch has triggered a checkpoint request for the bucket.
+	dial, in := injectorDial(1, fault.Schedule{Seed: 6, KillConn: 1, KillOnArm: true})
 	res, err := Run(p, edb, Config{
 		CheckpointEvery:    2,
 		CheckpointInterval: time.Millisecond,
+		RouteFault:         armOnRoute(in, 1, 3),
 		WorkerDial:         dial,
 	})
 	if err != nil {
@@ -196,8 +199,8 @@ func TestCheckpointEquivalenceLockstep(t *testing.T) {
 	}
 
 	p2, edb2, _ := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillAfterWrites: 25})
-	recovered, err := Run(p2, edb2, Config{CheckpointEvery: 2, WorkerDial: dial})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	recovered, err := Run(p2, edb2, Config{CheckpointEvery: 2, CheckpointFault: armOnCheckpoint(in, 1, 2), WorkerDial: dial})
 	if err != nil {
 		t.Fatal(err)
 	}

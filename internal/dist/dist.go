@@ -439,6 +439,11 @@ type Result struct {
 	// unless Config.Profile was set. Records from all buckets (including
 	// recovered and migrated ones) fold by constraint-stripped rule text.
 	Profile *seminaive.Profile
+	// OutputRows counts the rows the workers shipped in their final
+	// outputs, before the coordinator's union removes the tuples that
+	// several buckets generated. Each bucket ships only what it generated,
+	// so this equals the sum of Stats[i].Generated.
+	OutputRows int64
 	// WorkerBusy holds each worker's cumulative evaluation nanoseconds
 	// (from its final status reply), indexed by dense worker index; dead
 	// workers keep the last value they reported. On the paper's
@@ -1545,6 +1550,7 @@ func (c *Coordinator) Wait() (*Result, error) {
 				ar = want
 			}
 			dst := res.Output.Get(pred, ar)
+			res.OutputRows += int64(len(tuples))
 			for _, t := range tuples {
 				dst.Insert(t)
 			}

@@ -113,6 +113,29 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	}
 }
 
+// TestOutputShipsGeneratedRows runs Example 2's broadcast scheme, where
+// every derived tuple reaches every worker: each worker must still ship
+// only the tuples its buckets generated, not the whole relation, and the
+// pooled model must be the least model.
+func TestOutputShipsGeneratedRows(t *testing.T) {
+	src := ancestorRules + randomParFacts(14, 30, 9)
+	p, edb, seq := buildAncestorQ(t, src, 2, []string{"X", "Z"}, []string{"X", "Y"})
+	res, err := Run(p, edb, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seq["anc"].Equal(res.Output["anc"]) {
+		t.Fatal("pooled result differs from the least model")
+	}
+	var generated int64
+	for _, ps := range res.Stats {
+		generated += ps.Generated
+	}
+	if res.OutputRows != generated {
+		t.Errorf("workers shipped %d rows, their buckets generated %d", res.OutputRows, generated)
+	}
+}
+
 // TestDistributedCommFree: Theorem 3's scheme sends nothing even over TCP.
 func TestDistributedCommFree(t *testing.T) {
 	src := ancestorRules + randomParFacts(10, 20, 3)

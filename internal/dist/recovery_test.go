@@ -27,13 +27,15 @@ func injectorDial(target int, sched fault.Schedule) (func(wi int) DialFunc, *fau
 }
 
 // armOnRoute returns a RouteFault hook that routes every batch unchanged
-// and arms in once the coordinator routes a batch to bucket. The armed
-// kill lands at the victim's next write — before the next termination
-// wave can complete, since that wave needs the victim's reply — and after
-// the bucket's log holds data, so the recovery has batches to replay.
-func armOnRoute(in *fault.Injector, bucket int) func(from, b int) int {
+// and arms in once the coordinator has routed n batches to bucket. The
+// armed kill lands at the victim's next write — before the next
+// termination wave can complete, since that wave needs the victim's reply
+// — and after the bucket's log holds data, so the recovery has batches to
+// replay.
+func armOnRoute(in *fault.Injector, bucket, n int) func(from, b int) int {
+	var seen atomic.Int32
 	return func(_, b int) int {
-		if b == bucket {
+		if b == bucket && int(seen.Add(1)) >= n {
 			in.Arm()
 		}
 		return b
@@ -62,13 +64,12 @@ func TestBucketRecoveryKillOneOfThree(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 5)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	// Kill worker 1's (only) connection after 25 successful writes: safely
-	// past the join handshake, but well before the run's status replies
-	// and data batches dry up (each worker writes ~65 times on this
-	// workload).
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillAfterWrites: 25})
+	// Kill worker 1's (only) connection once the coordinator has routed
+	// data to its bucket: past the join handshake, with a log to replay,
+	// and before the run can quiesce.
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
 	rec := obs.NewRecorder()
-	res, err := Run(p, edb, Config{WorkerDial: dial, Sink: rec})
+	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +110,10 @@ func TestBucketRecoveryCascade(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 6)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	in1 := fault.New(fault.Schedule{Seed: 6, KillConn: 1, KillAfterWrites: 20})
-	in2 := fault.New(fault.Schedule{Seed: 7, KillConn: 1, KillAfterWrites: 40})
+	// Worker 1's kill is armed by the first batch routed to bucket 1, and
+	// worker 2's by the first batch routed to bucket 2 after that.
+	in1 := fault.New(fault.Schedule{Seed: 6, KillConn: 1, KillOnArm: true})
+	in2 := fault.New(fault.Schedule{Seed: 7, KillConn: 1, KillOnArm: true})
 	dial := func(wi int) DialFunc {
 		switch wi {
 		case 1:
@@ -120,7 +123,18 @@ func TestBucketRecoveryCascade(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := Run(p, edb, Config{WorkerDial: dial})
+	var armed1 atomic.Bool
+	route := func(_, b int) int {
+		switch {
+		case b == 1 && !armed1.Load():
+			in1.Arm()
+			armed1.Store(true)
+		case b == 2 && armed1.Load():
+			in2.Arm()
+		}
+		return b
+	}
+	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: route})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +242,9 @@ func TestRecoveryMetrics(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 9)
 	p, edb, _ := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 9, KillConn: 1, KillAfterWrites: 25})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 9, KillConn: 1, KillOnArm: true})
 	cs := obs.NewCounting()
-	res, err := Run(p, edb, Config{WorkerDial: dial, Sink: cs})
+	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: cs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,7 +120,7 @@ func TestDistributedMetricsScrapeUnderFaults(t *testing.T) {
 		}
 	}()
 
-	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1), Sink: obs.NewMetricsSink(reg)})
+	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: obs.NewMetricsSink(reg)})
 	close(done)
 	wg.Wait()
 	if err != nil {
@@ -161,7 +161,7 @@ func TestReplayCarriesOriginatingSpan(t *testing.T) {
 	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
 
 	rec := obs.NewRecorder()
-	if _, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1), Sink: rec}); err != nil {
+	if _, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: rec}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -679,20 +679,16 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 				hosted = append(hosted, b)
 			}
 			sort.Ints(hosted)
-			pool := make([]*parallel.Node, len(hosted))
-			for i, b := range hosted {
+			// Each node ships only the tuples it generated: the received
+			// rows were generated, and are shipped, elsewhere.
+			generated := map[string][]relation.Tuple{}
+			for _, b := range hosted {
 				n := nodes[b]
-				pool[i] = n
 				out.Stats = append(out.Stats, n.Stats())
 				out.Profiles = append(out.Profiles, n.Profile()...)
+				n.AppendGenerated(generated)
 			}
-			pooled := map[string][]relation.Tuple{}
-			for pred, rel := range parallel.Pool(pool) {
-				if rel.Len() > 0 {
-					pooled[pred] = rel.Rows()
-				}
-			}
-			out.Snap = wire.AppendSnapshot(nil, pooled)
+			out.Snap = wire.AppendSnapshot(nil, generated)
 			wq.push(control(out))
 			return fin(nil)
 		}

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"testing"
-	"time"
 
 	"parlog/internal/hashpart"
 	"parlog/internal/obs"
@@ -28,57 +27,22 @@ func TestChaosDuplicateDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []TerminationMode{TermCredit, TermCounting, TermDijkstraScholten} {
-		res, err := Run(p, relation.Store{}, RunConfig{Mode: mode, ChaosDuplicate: true})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		if !seq["anc"].Equal(res.Output["anc"]) {
-			t.Fatalf("mode %d: duplicated delivery changed the result", mode)
-		}
-		if got, want := res.Stats.TotalFirings(), seqStats.Firings; got != want {
-			t.Errorf("mode %d: firings %d != %d — duplicates caused recomputation", mode, got, want)
-		}
-		var dup int64
-		for _, ps := range res.Stats.Procs {
-			dup += ps.DupReceived
-		}
-		if res.Stats.TotalTuplesSent() > 0 && dup == 0 {
-			t.Errorf("mode %d: duplication enabled but no duplicate receives recorded", mode)
-		}
-	}
-}
-
-// TestChaosJitter fuzzes message interleavings; across many perturbed runs
-// the result and the traffic accounting must be identical.
-func TestChaosJitter(t *testing.T) {
-	src := ancestorRules + randomParFacts(10, 22, 32)
-	prog := parser.MustParse(src)
-	seq, _ := seqEval(t, prog)
-	s := mustSirup(t, prog)
-	p, err := BuildQ(s, rewrite.SirupSpec{
-		Procs: hashpart.RangeProcs(3),
-		VR:    []string{"Z"}, VE: []string{"X"},
-		H: hashpart.ModHash{N: 3},
-	})
+	res, err := Run(p, relation.Store{}, RunConfig{ChaosDuplicate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sent int64 = -1
-	for trial := 0; trial < 5; trial++ {
-		res, err := Run(p, relation.Store{}, RunConfig{ChaosJitter: 200 * time.Microsecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq["anc"].Equal(res.Output["anc"]) {
-			t.Fatalf("trial %d: jittered run changed the result", trial)
-		}
-		if sent < 0 {
-			sent = res.Stats.TotalTuplesSent()
-		} else if sent != res.Stats.TotalTuplesSent() {
-			t.Fatalf("trial %d: traffic not schedule-independent: %d vs %d",
-				trial, sent, res.Stats.TotalTuplesSent())
-		}
+	if !seq["anc"].Equal(res.Output["anc"]) {
+		t.Fatal("duplicated delivery changed the result")
+	}
+	if got, want := res.Stats.TotalFirings(), seqStats.Firings; got != want {
+		t.Errorf("firings %d != %d — duplicates caused recomputation", got, want)
+	}
+	var dup int64
+	for _, ps := range res.Stats.Procs {
+		dup += ps.DupReceived
+	}
+	if res.Stats.TotalTuplesSent() > 0 && dup == 0 {
+		t.Error("duplication enabled but no duplicate receives recorded")
 	}
 }
 
@@ -111,12 +75,11 @@ func TestChaosDuplicateWithRestrictedTopology(t *testing.T) {
 	}
 }
 
-// TestChaosCountingSink attaches the counting sink while both fault
-// injectors are active, across every termination detector. The sink hears
-// the same events the Stats accounting counts, by different code paths —
-// so every aggregate in the snapshot must agree exactly with the run's
-// Stats, and under `go test -race` this doubles as the concurrency check
-// on the sink's hot paths.
+// TestChaosCountingSink attaches the counting sink while duplicate
+// delivery is active. The sink hears the same events the Stats accounting
+// counts, by different code paths — so every aggregate in the snapshot must
+// agree exactly with the run's Stats, and under `go test -race` this
+// doubles as the concurrency check on the sink's hot paths.
 func TestChaosCountingSink(t *testing.T) {
 	src := ancestorRules + randomParFacts(12, 26, 34)
 	prog := parser.MustParse(src)
@@ -130,56 +93,49 @@ func TestChaosCountingSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []TerminationMode{TermCredit, TermCounting, TermDijkstraScholten} {
-		c := obs.NewCounting()
-		res, err := Run(p, relation.Store{}, RunConfig{
-			Mode:           mode,
-			Sink:           c,
-			ChaosDuplicate: true,
-			ChaosJitter:    100 * time.Microsecond,
-		})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
+	c := obs.NewCounting()
+	res, err := Run(p, relation.Store{}, RunConfig{Sink: c, ChaosDuplicate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !seq["anc"].Equal(res.Output["anc"]) {
+		t.Fatal("chaos run changed the result")
+	}
+	m := c.Snapshot()
+	if m.Engine != "parallel" || len(m.Procs) != 4 {
+		t.Fatalf("snapshot engine=%q procs=%d", m.Engine, len(m.Procs))
+	}
+	var firings, sent, recv, dup, edgeTuples int64
+	for _, pm := range m.Procs {
+		firings += pm.Firings
+		sent += pm.TuplesSent
+		recv += pm.TuplesReceived
+		dup += pm.DupReceived
+		if pm.Transitions == 0 {
+			t.Errorf("proc %d never transitioned busy/idle", pm.Proc)
 		}
-		if !seq["anc"].Equal(res.Output["anc"]) {
-			t.Fatalf("mode %d: chaos run changed the result", mode)
-		}
-		m := c.Snapshot()
-		if m.Engine != "parallel" || len(m.Procs) != 4 {
-			t.Fatalf("mode %d: snapshot engine=%q procs=%d", mode, m.Engine, len(m.Procs))
-		}
-		var firings, sent, recv, dup, edgeTuples int64
-		for _, pm := range m.Procs {
-			firings += pm.Firings
-			sent += pm.TuplesSent
-			recv += pm.TuplesReceived
-			dup += pm.DupReceived
-			if pm.Transitions == 0 {
-				t.Errorf("mode %d: proc %d never transitioned busy/idle", mode, pm.Proc)
-			}
-		}
-		for _, e := range m.Edges {
-			edgeTuples += e.Tuples
-		}
-		if got := res.Stats.TotalFirings(); firings != got {
-			t.Errorf("mode %d: sink firings %d != stats %d", mode, firings, got)
-		}
-		if got := res.Stats.TotalTuplesSent(); sent != got {
-			t.Errorf("mode %d: sink sent %d != stats %d", mode, sent, got)
-		}
-		if edgeTuples != sent {
-			t.Errorf("mode %d: per-edge tuples %d != sent %d", mode, edgeTuples, sent)
-		}
-		var statsRecv, statsDup int64
-		for _, ps := range res.Stats.Procs {
-			statsRecv += ps.TuplesReceived
-			statsDup += ps.DupReceived
-		}
-		if recv != statsRecv || dup != statsDup {
-			t.Errorf("mode %d: sink recv/dup %d/%d != stats %d/%d", mode, recv, dup, statsRecv, statsDup)
-		}
-		if sent > 0 && dup == 0 {
-			t.Errorf("mode %d: duplication enabled but sink saw no duplicate receives", mode)
-		}
+	}
+	for _, e := range m.Edges {
+		edgeTuples += e.Tuples
+	}
+	if got := res.Stats.TotalFirings(); firings != got {
+		t.Errorf("sink firings %d != stats %d", firings, got)
+	}
+	if got := res.Stats.TotalTuplesSent(); sent != got {
+		t.Errorf("sink sent %d != stats %d", sent, got)
+	}
+	if edgeTuples != sent {
+		t.Errorf("per-edge tuples %d != sent %d", edgeTuples, sent)
+	}
+	var statsRecv, statsDup int64
+	for _, ps := range res.Stats.Procs {
+		statsRecv += ps.TuplesReceived
+		statsDup += ps.DupReceived
+	}
+	if recv != statsRecv || dup != statsDup {
+		t.Errorf("sink recv/dup %d/%d != stats %d/%d", recv, dup, statsRecv, statsDup)
+	}
+	if sent > 0 && dup == 0 {
+		t.Error("duplication enabled but sink saw no duplicate receives")
 	}
 }

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -100,8 +101,8 @@ func checkGolden(t *testing.T, got []string, golden string) {
 	}
 }
 
-// TestGoldenTraceLockstep pins the exact event stream of the deterministic
-// scheduler: any change to event semantics (iteration numbering, message
+// TestGoldenTraceLockstep pins the exact event stream of the superstep
+// schedule: any change to event semantics (iteration numbering, message
 // accounting, busy/idle pairing) shows up as a diff against this golden.
 func TestGoldenTraceLockstep(t *testing.T) {
 	checkGolden(t, lockstepTrace(t, goldenProgram(t)), goldenLockstepTrace)
@@ -126,6 +127,47 @@ func TestLockstepTraceDeterministic(t *testing.T) {
 	b := lockstepTrace(t, goldenProgram(t))
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
 		t.Fatal("two lockstep runs produced different event streams")
+	}
+}
+
+// TestRunMatchesLockstep pins that Run executes the goldens' schedule:
+// across repeated concurrent runs, every per-processor counter except Busy
+// equals RunLockstep's, per-destination channel usage included.
+func TestRunMatchesLockstep(t *testing.T) {
+	random := func(t *testing.T) *Program {
+		p, err := BuildQ(mustSirup(t, parser.MustParse(ancestorRules+randomParFacts(40, 120, 5))), rewrite.SirupSpec{
+			Procs: hashpart.RangeProcs(3),
+			VR:    []string{"Z"}, VE: []string{"X"},
+			H: hashpart.ModHash{N: 3},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	progs := map[string]func(*testing.T) *Program{
+		"example3-random": random, "example3": goldenProgram,
+		"example2": goldenExample2, "example8": goldenGeneral,
+	}
+	for name, build := range progs {
+		p := build(t)
+		want, err := RunLockstep(p, relation.Store{}, RunConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 20; rep++ {
+			got, err := Run(p, relation.Store{}, RunConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, ps := range got.Stats.Procs {
+				w := want.Stats.Procs[i]
+				ps.Busy, w.Busy = 0, 0
+				if !reflect.DeepEqual(ps, w) {
+					t.Fatalf("%s rep %d proc %d: Run %+v, RunLockstep %+v", name, rep, ps.Proc, ps, w)
+				}
+			}
+		}
 	}
 }
 
@@ -158,7 +200,6 @@ send from=0 to=1 pred=anc n=1
 idle proc=0
 busy proc=1
 recv at=1 from=0 pred=anc n=2 dup=0
-recv at=1 from=0 pred=anc n=1 dup=0
 iter_start proc=1 iter=2
 firings proc=1 pred=anc n=1 dup=0
 iter_end proc=1 iter=2 delta=1
@@ -177,7 +218,13 @@ iter_start proc=1 iter=3
 firings proc=1 pred=anc n=0 dup=0
 iter_end proc=1 iter=3 delta=0
 idle proc=1
-probe detector=lockstep n=-1 quiesced=true
+busy proc=1
+recv at=1 from=0 pred=anc n=1 dup=0
+iter_start proc=1 iter=4
+firings proc=1 pred=anc n=0 dup=0
+iter_end proc=1 iter=4 delta=0
+idle proc=1
+probe detector=superstep n=4 quiesced=true
 run_end
 `
 
@@ -222,23 +269,38 @@ idle proc=0
 busy proc=1
 recv at=1 from=0 pred=anc n=3 dup=0
 recv at=1 from=0 pred=anc n=1 dup=0
-recv at=1 from=0 pred=anc n=1 dup=0
-recv at=1 from=0 pred=anc n=1 dup=0
 iter_start proc=1 iter=2
-firings proc=1 pred=anc n=2 dup=0
-iter_end proc=1 iter=2 delta=2
-send from=1 to=0 pred=anc n=2
+firings proc=1 pred=anc n=1 dup=0
+iter_end proc=1 iter=2 delta=1
+send from=1 to=0 pred=anc n=1
 iter_start proc=1 iter=3
 firings proc=1 pred=anc n=0 dup=0
 iter_end proc=1 iter=3 delta=0
 idle proc=1
 busy proc=0
-recv at=0 from=1 pred=anc n=2 dup=0
+recv at=0 from=1 pred=anc n=1 dup=0
 iter_start proc=0 iter=6
-firings proc=0 pred=anc n=2 dup=2
+firings proc=0 pred=anc n=1 dup=1
 iter_end proc=0 iter=6 delta=0
 idle proc=0
-probe detector=lockstep n=-1 quiesced=true
+busy proc=1
+recv at=1 from=0 pred=anc n=1 dup=0
+recv at=1 from=0 pred=anc n=1 dup=0
+iter_start proc=1 iter=4
+firings proc=1 pred=anc n=1 dup=0
+iter_end proc=1 iter=4 delta=1
+send from=1 to=0 pred=anc n=1
+iter_start proc=1 iter=5
+firings proc=1 pred=anc n=0 dup=0
+iter_end proc=1 iter=5 delta=0
+idle proc=1
+busy proc=0
+recv at=0 from=1 pred=anc n=1 dup=0
+iter_start proc=0 iter=7
+firings proc=0 pred=anc n=1 dup=1
+iter_end proc=0 iter=7 delta=0
+idle proc=0
+probe detector=superstep n=4 quiesced=true
 run_end
 `
 
@@ -271,25 +333,39 @@ send from=0 to=1 pred=anc n=2
 idle proc=0
 busy proc=1
 recv at=1 from=0 pred=anc n=2 dup=0
-recv at=1 from=0 pred=anc n=2 dup=0
 iter_start proc=1 iter=2
-firings proc=1 pred=anc n=4 dup=0
-iter_end proc=1 iter=2 delta=4
-send from=1 to=0 pred=anc n=3
-iter_start proc=1 iter=3
-firings proc=1 pred=anc n=0 dup=0
-iter_end proc=1 iter=3 delta=0
+firings proc=1 pred=anc n=1 dup=0
+iter_end proc=1 iter=2 delta=1
+send from=1 to=0 pred=anc n=1
 idle proc=1
 busy proc=0
-recv at=0 from=1 pred=anc n=3 dup=0
+recv at=0 from=1 pred=anc n=1 dup=0
 iter_start proc=0 iter=3
-firings proc=0 pred=anc n=4 dup=1
-iter_end proc=0 iter=3 delta=3
-send from=0 to=1 pred=anc n=3
+firings proc=0 pred=anc n=2 dup=0
+iter_end proc=0 iter=3 delta=2
+send from=0 to=1 pred=anc n=2
+iter_start proc=0 iter=4
+firings proc=0 pred=anc n=2 dup=1
+iter_end proc=0 iter=4 delta=1
+send from=0 to=1 pred=anc n=1
 idle proc=0
 busy proc=1
-recv at=1 from=0 pred=anc n=3 dup=3
+recv at=1 from=0 pred=anc n=2 dup=0
+iter_start proc=1 iter=3
+firings proc=1 pred=anc n=3 dup=0
+iter_end proc=1 iter=3 delta=3
+send from=1 to=0 pred=anc n=2
+iter_start proc=1 iter=4
+firings proc=1 pred=anc n=0 dup=0
+iter_end proc=1 iter=4 delta=0
 idle proc=1
-probe detector=lockstep n=-1 quiesced=true
+busy proc=0
+recv at=0 from=1 pred=anc n=2 dup=2
+idle proc=0
+busy proc=1
+recv at=1 from=0 pred=anc n=2 dup=2
+recv at=1 from=0 pred=anc n=1 dup=1
+idle proc=1
+probe detector=superstep n=4 quiesced=true
 run_end
 `

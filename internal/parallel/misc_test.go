@@ -2,10 +2,8 @@ package parallel
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"parlog/internal/ast"
 	"parlog/internal/hashpart"
@@ -32,63 +30,6 @@ func TestTopology(t *testing.T) {
 	edges := topo.Edges()
 	if len(edges) != 2 || edges[0] != [2]int{0, 1} || edges[1] != [2]int{2, 0} {
 		t.Errorf("Edges = %v", edges)
-	}
-}
-
-func TestMailboxOrderingAndNotify(t *testing.T) {
-	m := newMailbox()
-	for i := 0; i < 5; i++ {
-		m.push(message{from: i})
-	}
-	msgs := m.takeAll()
-	if len(msgs) != 5 {
-		t.Fatalf("takeAll returned %d messages", len(msgs))
-	}
-	for i, msg := range msgs {
-		if msg.from != i {
-			t.Errorf("message %d from %d — FIFO violated", i, msg.from)
-		}
-	}
-	select {
-	case <-m.notify:
-	default:
-		t.Error("notify not signalled")
-	}
-	if got := m.takeAll(); len(got) != 0 {
-		t.Errorf("second takeAll returned %d messages", len(got))
-	}
-}
-
-func TestMailboxConcurrentPush(t *testing.T) {
-	m := newMailbox()
-	const senders, per = 8, 200
-	var wg sync.WaitGroup
-	for s := 0; s < senders; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				m.push(message{from: s})
-			}
-		}(s)
-	}
-	done := make(chan int, 1)
-	go func() {
-		got := 0
-		for got < senders*per {
-			<-m.notify
-			got += len(m.takeAll())
-		}
-		done <- got
-	}()
-	wg.Wait()
-	select {
-	case got := <-done:
-		if got != senders*per {
-			t.Errorf("received %d of %d messages", got, senders*per)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("receiver never drained all messages — lost notify")
 	}
 }
 
@@ -147,43 +88,6 @@ func TestBuildValidation(t *testing.T) {
 		Rules: []rewrite.RuleSpec{{Seq: []string{"Z"}, H: hashpart.ModHash{N: 2}}},
 	}); err == nil {
 		t.Error("wrong rule-spec count accepted")
-	}
-}
-
-// TestMaxBatchSplitting: tiny batches change message counts but nothing
-// else.
-func TestMaxBatchSplitting(t *testing.T) {
-	src := ancestorRules + randomParFacts(12, 26, 41)
-	prog := parser.MustParse(src)
-	seq, _ := seqEval(t, prog)
-	s := mustSirup(t, prog)
-	p, err := BuildQ(s, rewrite.SirupSpec{
-		Procs: hashpart.RangeProcs(3),
-		VR:    []string{"Z"}, VE: []string{"X"},
-		H: hashpart.ModHash{N: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := Run(p, relation.Store{}, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	small, err := Run(p, relation.Store{}, RunConfig{MaxBatch: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq["anc"].Equal(small.Output["anc"]) {
-		t.Error("MaxBatch=1 changed the result")
-	}
-	if small.Stats.TotalTuplesSent() != big.Stats.TotalTuplesSent() {
-		t.Errorf("tuple traffic changed: %d vs %d",
-			small.Stats.TotalTuplesSent(), big.Stats.TotalTuplesSent())
-	}
-	if big.Stats.TotalTuplesSent() > 0 &&
-		small.Stats.TotalMessages() != small.Stats.TotalTuplesSent() {
-		t.Errorf("MaxBatch=1 should send one message per tuple: %d messages for %d tuples",
-			small.Stats.TotalMessages(), small.Stats.TotalTuplesSent())
 	}
 }
 

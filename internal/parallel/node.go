@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"parlog/internal/ast"
@@ -22,9 +23,9 @@ type EmitFunc func(dest int, pred string, tuples []relation.Tuple)
 // architecture: it owns the local base-relation fragments and one slot per
 // derived predicate, fires initialization rules, accepts incoming tuples,
 // runs local semi-naive iterations and routes freshly derived tuples per the
-// scheme's sending rules. Transports — the in-process goroutine runtime here
-// and the TCP runtime in internal/dist — deliver batches via Accept and carry
-// the batches handed to the EmitFunc, plus termination detection.
+// scheme's sending rules. Transports — the in-process superstep loop here
+// and the TCP runtime in internal/dist — deliver batches via Accept, carry
+// the batches handed to the EmitFunc and decide when the run has ended.
 //
 // Each derived tuple is stored once. The paper's processors keep a t_out and
 // a t_in per derived predicate, but Theorems 1 and 2 need only the
@@ -483,7 +484,7 @@ func (n *Node) route(s *predSlot, t relation.Tuple) (dests []int, self bool) {
 }
 
 // flush hands the accumulated logical batches to the transport in
-// (destination, pred) order, so a deterministic scheduler sees an
+// (destination, pred) order, so a deterministic schedule sees an
 // identical send sequence run-to-run. Each handed-off slice belongs to the
 // transport from then on (the in-process runtime queues it).
 func (n *Node) flush(emit EmitFunc) {
@@ -518,16 +519,66 @@ func (n *Node) RecordSent(dest, tuples int) {
 // RecordBusy adds transport-measured busy time.
 func (n *Node) RecordBusy(d time.Duration) { n.stats.Busy += d }
 
+// generated calls fn with every row this slot's node generated: its out
+// rows and its origin-marked @in rows, skipping the relation skip (nil
+// skips none). Every other @in row was received, so it was generated at
+// another node.
+func (s *predSlot) generated(skip *relation.Relation, fn func(relation.Tuple)) {
+	if s.in != skip {
+		for w, word := range s.mine {
+			for ; word != 0; word &= word - 1 {
+				fn(s.in.Row(w<<6 | bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	if s.out != skip {
+		for row := 0; row < s.out.Len(); row++ {
+			fn(s.out.Row(row))
+		}
+	}
+}
+
+// generatedLen counts the rows generated visits under the same skip.
+func (s *predSlot) generatedLen(skip *relation.Relation) int {
+	n := 0
+	if s.in != skip {
+		for _, w := range s.mine {
+			n += bits.OnesCount64(w)
+		}
+	}
+	if s.out != skip {
+		n += s.out.Len()
+	}
+	return n
+}
+
+// AppendGenerated appends to dst, per derived predicate, every tuple this
+// node generated — its share of the final pooling step, which a transport
+// ships instead of the node's relations. Across the nodes of a run the
+// shares add up to the run's Generated count, and their union is the
+// pooled result. The rows are immutable relation rows, not copies.
+func (n *Node) AppendGenerated(dst map[string][]relation.Tuple) {
+	for si := range n.preds {
+		s := &n.preds[si]
+		k := s.generatedLen(nil)
+		if k == 0 {
+			continue
+		}
+		rows := slices.Grow(dst[s.name], k)
+		s.generated(nil, func(t relation.Tuple) { rows = append(rows, t) })
+		dst[s.name] = rows
+	}
+}
+
 // Pool performs the final pooling step over finished nodes: each derived
-// predicate's result is the union, over the nodes, of their @in and out
-// relations. Every tuple a node generated sits in one of its two — in @in
-// with its origin bit when the node is among the tuple's destinations, in
-// out otherwise — and every other @in row was received, so it was
-// generated at another node. Pool adopts the largest of these relations
-// (so the nodes must not be used afterwards) and adds into it every out
-// row and the origin-marked rows of every other @in; the received rows
-// arrive through their generators. The nodes must share one Program; every
-// derived predicate of it gets an entry, empty or not.
+// predicate's result is the union, over the nodes, of the tuples each
+// generated. Every tuple a node generated sits in its @in (with its origin
+// bit) when the node is among the tuple's destinations and in its out
+// otherwise. Pool adopts the largest of these relations — received rows
+// included, since each was generated elsewhere — so the nodes must not be
+// used afterwards, and adds every other node's generated rows into it. The
+// nodes must share one Program; every derived predicate of it gets an
+// entry, empty or not.
 func Pool(nodes []*Node) relation.Store {
 	out := relation.Store{}
 	if len(nodes) == 0 {
@@ -544,31 +595,11 @@ func Pool(nodes []*Node) relation.Store {
 		}
 		more := 0
 		for _, n := range nodes {
-			s := &n.preds[si]
-			if s.in != dst {
-				for _, w := range s.mine {
-					more += bits.OnesCount64(w)
-				}
-			}
-			if s.out != dst {
-				more += s.out.Len()
-			}
+			more += n.preds[si].generatedLen(dst)
 		}
 		dst.Grow(more)
 		for _, n := range nodes {
-			s := &n.preds[si]
-			if s.in != dst {
-				for w, word := range s.mine {
-					for ; word != 0; word &= word - 1 {
-						dst.Insert(s.in.Row(w<<6 | bits.TrailingZeros64(word)))
-					}
-				}
-			}
-			if s.out != dst {
-				for row := 0; row < s.out.Len(); row++ {
-					dst.Insert(s.out.Row(row))
-				}
-			}
+			n.preds[si].generated(dst, func(t relation.Tuple) { dst.Insert(t) })
 		}
 		out[pred] = dst
 	}

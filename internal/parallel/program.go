@@ -1,8 +1,9 @@
 // Package parallel implements the paper's abstract parallel architecture and
-// executes the rewritten programs on it: one goroutine per processor,
-// reliable point-to-point channels t_ij, asynchronous receives, duplicate
-// elimination by difference, pluggable termination detection (Section 3),
-// and full accounting of communication, redundancy and base-relation
+// executes the rewritten programs on it: one goroutine per processor in
+// bulk-synchronous supersteps, reliable point-to-point channels t_ij
+// delivered at each barrier, duplicate elimination by difference (Section
+// 3), termination at the first barrier with nothing in flight, and full
+// accounting of communication, redundancy and base-relation
 // placement — the quantities behind Examples 1–3 and the Section 6
 // trade-off.
 package parallel

@@ -403,36 +403,6 @@ zero(n0).
 	}
 }
 
-// --- Termination modes ---
-
-func TestRunAllTerminationModes(t *testing.T) {
-	src := ancestorRules + randomParFacts(12, 26, 6)
-	prog := parser.MustParse(src)
-	seq, _ := seqEval(t, prog)
-	for _, mode := range []TerminationMode{TermCredit, TermCounting, TermDijkstraScholten} {
-		mode := mode
-		t.Run(fmt.Sprintf("mode%d", mode), func(t *testing.T) {
-			prog := parser.MustParse(src)
-			s := mustSirup(t, prog)
-			p, err := BuildQ(s, rewrite.SirupSpec{
-				Procs: hashpart.RangeProcs(4),
-				VR:    []string{"Z"}, VE: []string{"X"},
-				H: hashpart.ModHash{N: 4},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := Run(p, relation.Store{}, RunConfig{Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !seq["anc"].Equal(res.Output["anc"]) {
-				t.Error("result differs from sequential")
-			}
-		})
-	}
-}
-
 // --- Topology restriction ---
 
 func TestRunRestrictedTopologySufficient(t *testing.T) {
@@ -577,7 +547,7 @@ func TestRunRejectsIDBInput(t *testing.T) {
 }
 
 // TestRunRandomizedAgainstSequential is the big equivalence property: random
-// graphs × schemes × processor counts × termination modes.
+// graphs × schemes × processor counts.
 func TestRunRandomizedAgainstSequential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed + 500))
@@ -587,7 +557,6 @@ func TestRunRandomizedAgainstSequential(t *testing.T) {
 		n := 2 + rng.Intn(4)
 		vrChoices := [][]string{{"Y"}, {"Z"}, {"Z", "Y"}}
 		vr := vrChoices[rng.Intn(len(vrChoices))]
-		mode := TerminationMode(rng.Intn(3))
 
 		prog2 := parser.MustParse(src)
 		s := mustSirup(t, prog2)
@@ -599,12 +568,12 @@ func TestRunRandomizedAgainstSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(p, relation.Store{}, RunConfig{Mode: mode})
+		res, err := Run(p, relation.Store{}, RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !seq["anc"].Equal(res.Output["anc"]) {
-			t.Fatalf("seed %d vr=%v n=%d mode=%d: parallel differs from sequential", seed, vr, n, mode)
+			t.Fatalf("seed %d vr=%v n=%d: parallel differs from sequential", seed, vr, n)
 		}
 		if got, want := res.Stats.TotalFirings(), seqStats.Firings; got != want {
 			t.Errorf("seed %d: firings %d != sequential %d", seed, got, want)

@@ -99,7 +99,7 @@ func generalSpec(g *Program, n int, seed uint64) (rewrite.GeneralSpec, error) {
 
 // TestParallelGeneralMatchesSequential is the central differential test: the
 // Section 7 runtime must compute the sequential least model on every random
-// program, for several processor counts and all termination detectors, with
+// program, for several processor counts, with
 // exactly the sequential number of generation firings (Theorem 6 met with
 // equality for common per-rule h).
 func TestParallelGeneralMatchesSequential(t *testing.T) {
@@ -110,7 +110,6 @@ func TestParallelGeneralMatchesSequential(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		n := 2 + int(seed%3)
-		mode := parallel.TerminationMode(seed % 3)
 		spec, err := generalSpec(g, n, uint64(seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -119,14 +118,14 @@ func TestParallelGeneralMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: build: %v\n%s", seed, err, g.Prog)
 		}
-		res, err := parallel.Run(p, g.EDB, parallel.RunConfig{Mode: mode})
+		res, err := parallel.Run(p, g.EDB, parallel.RunConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: run: %v", seed, err)
 		}
 		for _, pred := range g.IDB() {
 			if !storesEqual(want, res.Output, pred) {
-				t.Fatalf("seed %d (N=%d mode=%d): %s differs\nprogram:\n%s",
-					seed, n, mode, pred, g.Prog)
+				t.Fatalf("seed %d (N=%d): %s differs\nprogram:\n%s",
+					seed, n, pred, g.Prog)
 			}
 		}
 		if got := res.Stats.TotalFirings(); got != seqStats.Firings {

@@ -49,8 +49,7 @@ node(a). node(b). node(c). node(d). node(e).
 }
 
 func TestNegationParallelMatchesSequential(t *testing.T) {
-	// Random graph; compare three-stratum pipeline across worker counts and
-	// termination modes.
+	// Random graph; compare three-stratum pipeline across worker counts.
 	g := workload.RandomGraph(20, 40, 3)
 	var facts strings.Builder
 	for _, e := range g.Rows() {
@@ -73,16 +72,14 @@ func TestNegationParallelMatchesSequential(t *testing.T) {
 	}
 	want := wantRes.Output
 	for _, workers := range []int{1, 2, 4} {
-		for _, mode := range []TerminationMode{TermCredit, TermCounting, TermDijkstraScholten} {
-			p := MustParse(src)
-			res, err := EvalParallel(context.Background(), p, nil, EvalOptions{Workers: workers, Termination: mode})
-			if err != nil {
-				t.Fatalf("workers=%d mode=%d: %v", workers, mode, err)
-			}
-			for _, pred := range []string{"reach", "unreachable"} {
-				if !want[pred].Equal(res.Output[pred]) {
-					t.Fatalf("workers=%d mode=%d: %s differs from sequential", workers, mode, pred)
-				}
+		p := MustParse(src)
+		res, err := EvalParallel(context.Background(), p, nil, EvalOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, pred := range []string{"reach", "unreachable"} {
+			if !want[pred].Equal(res.Output[pred]) {
+				t.Fatalf("workers=%d: %s differs from sequential", workers, pred)
 			}
 		}
 	}

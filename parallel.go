@@ -41,16 +41,6 @@ const (
 	StrategyGeneral
 )
 
-// TerminationMode re-exports the runtime's detector selection.
-type TerminationMode = parallel.TerminationMode
-
-// Termination detector choices.
-const (
-	TermCredit           = parallel.TermCredit
-	TermCounting         = parallel.TermCounting
-	TermDijkstraScholten = parallel.TermDijkstraScholten
-)
-
 // ParallelStats aggregates a parallel run's accounting.
 type ParallelStats = parallel.Stats
 
@@ -64,13 +54,10 @@ func NewTopology(edges [][2]int) *Topology { return parallel.NewTopology(edges) 
 // into the in-process runtime's configuration.
 func runConfig(ctx context.Context, opts EvalOptions, sink obs.EventSink) parallel.RunConfig {
 	return parallel.RunConfig{
-		Mode:         opts.Termination,
-		Topology:     opts.Topology,
-		PollInterval: opts.PollInterval,
-		MaxBatch:     opts.MaxBatch,
-		Ctx:          ctx,
-		Sink:         sink,
-		Profile:      opts.Profile,
+		Topology: opts.Topology,
+		Ctx:      ctx,
+		Sink:     sink,
+		Profile:  opts.Profile,
 	}
 }
 

@@ -248,8 +248,6 @@ type EvalOptions struct {
 	// redundancy/communication spectrum: the probability mass each h_i
 	// keeps local.
 	Locality float64
-	// Termination selects the distributed termination detector.
-	Termination TerminationMode
 	// Topology restricts the interconnect; nil is a full mesh.
 	Topology *Topology
 	// Seed varies the hash functions.
@@ -263,14 +261,11 @@ type EvalOptions struct {
 	HashBits BitFunc
 	// Procs lists processor ids for HashBits runs.
 	Procs []int
-	// PollInterval is the counting detector's wave period (EvalParallel)
-	// or the coordinator's wave period (EvalDistributed); 0 picks the
-	// engine default.
+	// PollInterval is the distributed coordinator's termination-wave
+	// period; 0 picks the default. Only EngineDistributed reads it: the
+	// in-process engine ends at its first superstep barrier with nothing
+	// in flight.
 	PollInterval time.Duration
-	// MaxBatch splits outgoing tuple batches of the in-process parallel
-	// transport; 0 sends one batch per destination per local iteration
-	// (the paper's per-iteration send).
-	MaxBatch int
 
 	// MaxRetries bounds a distributed worker's connect attempts, retried
 	// with exponential backoff and jitter (default 5). EngineDistributed
@@ -533,39 +528,4 @@ func (p *Program) sirup() (*analysis.Sirup, error) {
 		return nil, fmt.Errorf("parlog: %w", err)
 	}
 	return s, nil
-}
-
-// Query matches an atom pattern such as "anc(a, X)" against an evaluated
-// store and returns the matching tuples, sorted. Variables in the pattern
-// match anything (repeated variables must agree); constants must be equal.
-// Constants are resolved through the program's interner, so names unseen by
-// the program match nothing.
-//
-// Deprecated: this scans a store you already evaluated. Use the package
-// function Query for goal-directed evaluation (demand rewriting, streaming
-// answers, planner reports), or Snapshot.Query on an incrementally
-// maintained View.
-func (p *Program) Query(store Store, query string) ([]Tuple, error) {
-	atom, known, err := p.resolveGoal(query)
-	if err != nil {
-		return nil, err
-	}
-	if !known {
-		// A constant the program never saw cannot match any stored tuple.
-		return nil, nil
-	}
-	rel, ok := store[atom.Pred]
-	if !ok {
-		return nil, fmt.Errorf("parlog: predicate %s not in the result store", atom.Pred)
-	}
-	if rel.Arity() != atom.Arity() {
-		return nil, fmt.Errorf("parlog: %s has arity %d, query uses %d", atom.Pred, rel.Arity(), atom.Arity())
-	}
-	var out []Tuple
-	for _, t := range rel.SortedRows() {
-		if ast.MatchAtom(atom, t, ast.Subst{}) {
-			out = append(out, t)
-		}
-	}
-	return out, nil
 }

@@ -133,8 +133,7 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 		{"tradeoff-half", EvalOptions{Workers: 3, Strategy: StrategyTradeoff, Locality: 0.5}},
 		{"tradeoff-1", EvalOptions{Workers: 3, Strategy: StrategyTradeoff, Locality: 1}},
 		{"general", EvalOptions{Workers: 4, Strategy: StrategyGeneral}},
-		{"counting", EvalOptions{Workers: 2, Termination: TermCounting}},
-		{"ds", EvalOptions{Workers: 2, Termination: TermDijkstraScholten}},
+		{"two-workers", EvalOptions{Workers: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := MustParse(`
@@ -421,33 +420,6 @@ func TestSnapshotQuery(t *testing.T) {
 	}
 	if _, err := snap.Query(ctx, "anc(X, Y), anc(Y, Z)"); err == nil {
 		t.Error("conjunctive query accepted as single atom")
-	}
-}
-
-// TestQueryDeprecated pins the legacy store-matching wrapper kept for
-// compatibility.
-func TestQueryDeprecated(t *testing.T) {
-	p := MustParse(ancestorSrc)
-	res, err := Eval(context.Background(), p, nil, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := res.Output
-	got, err := p.Query(store, "anc(a, X)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Errorf("anc(a, X) matched %d tuples, want 3", len(got))
-	}
-	// Unknown constant matches nothing, without error.
-	if got, err := p.Query(store, "anc(nobody, X)"); err != nil || got != nil {
-		t.Errorf("unknown constant: got %v, %v", got, err)
-	}
-	// A predicate absent from the store is an error here (unlike
-	// Snapshot.Query, which answers from the full model).
-	if _, err := p.Query(store, "nosuch(X)"); err == nil {
-		t.Error("unknown predicate accepted")
 	}
 }
 

@@ -45,9 +45,6 @@ func (o EvalOptions) Validate() error {
 	if o.PollInterval < 0 {
 		return badOptions("PollInterval must be non-negative, got %v", o.PollInterval)
 	}
-	if o.MaxBatch < 0 {
-		return badOptions("MaxBatch must be non-negative, got %d", o.MaxBatch)
-	}
 
 	if o.Engine != EngineDistributed {
 		// The fault-tolerance and flow-control knobs configure the TCP

@@ -45,7 +45,6 @@ func TestValidate(t *testing.T) {
 		{"negative iterations", EvalOptions{MaxIterations: -1}},
 		{"locality out of range", EvalOptions{Engine: EngineParallel, Locality: 1.5}},
 		{"negative poll", EvalOptions{Engine: EngineParallel, PollInterval: -time.Second}},
-		{"negative batch", EvalOptions{Engine: EngineParallel, MaxBatch: -1}},
 		{"retries on sequential", EvalOptions{MaxRetries: 3}},
 		{"heartbeat on parallel", EvalOptions{Engine: EngineParallel, HeartbeatInterval: time.Second}},
 		{"queue bytes on parallel", EvalOptions{Engine: EngineParallel, MaxQueueBytes: 1024}},
