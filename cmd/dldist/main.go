@@ -185,9 +185,9 @@ func main() {
 			sink.RunStart("dist", compiled.Procs.IDs())
 		}
 		c, err := dist.NewCoordinator(dist.Config{
-			Workers:            *workers,
-			Buckets:            *buckets,
-			Pinned:             compiled.PinnedBuckets(),
+			Workers: *workers,
+			Buckets: *buckets,
+			Pinned:  compiled.PinnedBuckets(),
 			Rebalance: dist.RebalanceConfig{
 				Enabled:       *rebalance,
 				SkewThreshold: *rebThreshold,

@@ -288,8 +288,8 @@ func (d *durability) replaySegment(recs []store.Record, epoch uint64, sh shadow)
 			}
 		case recSegEDB:
 			ins := map[string][]Tuple{}
-			if err := wire.DecodeSnapshot(r.Payload, func(pred string, rows []Tuple) error {
-				ins[pred] = rows
+			if err := wire.DecodeSnapshot(r.Payload, func(pred string, b relation.Batch) error {
+				ins[pred] = b.Tuples()
 				return nil
 			}); err != nil {
 				return fmt.Errorf("parlog: segment %016x snapshot: %v: %w", epoch, err, ErrCorruptSegment)
@@ -599,15 +599,15 @@ func decodeApply(p []byte) (epoch uint64, del, ins map[string][]Tuple, err error
 	}
 	p = p[n:]
 	del = map[string][]Tuple{}
-	if err := wire.DecodeSnapshot(p[:dl], func(pred string, rows []Tuple) error {
-		del[pred] = rows
+	if err := wire.DecodeSnapshot(p[:dl], func(pred string, b relation.Batch) error {
+		del[pred] = b.Tuples()
 		return nil
 	}); err != nil {
 		return 0, nil, nil, err
 	}
 	ins = map[string][]Tuple{}
-	if err := wire.DecodeSnapshot(p[dl:], func(pred string, rows []Tuple) error {
-		ins[pred] = rows
+	if err := wire.DecodeSnapshot(p[dl:], func(pred string, b relation.Batch) error {
+		ins[pred] = b.Tuples()
 		return nil
 	}); err != nil {
 		return 0, nil, nil, err

@@ -1541,18 +1541,18 @@ func (c *Coordinator) Wait() (*Result, error) {
 		if w.output == nil {
 			continue
 		}
-		err := wire.DecodeSnapshot(w.output.Snap, func(pred string, tuples []relation.Tuple) error {
-			if len(tuples) == 0 {
+		err := wire.DecodeSnapshot(w.output.Snap, func(pred string, b relation.Batch) error {
+			if b.N == 0 {
 				return nil
 			}
-			ar := len(tuples[0])
+			ar := b.Arity
 			if want, ok := c.arities[pred]; ok {
 				ar = want
 			}
 			dst := res.Output.Get(pred, ar)
-			res.OutputRows += int64(len(tuples))
-			for _, t := range tuples {
-				dst.Insert(t)
+			res.OutputRows += int64(b.N)
+			for i := 0; i < b.N; i++ {
+				dst.Insert(b.Row(i))
 			}
 			return nil
 		})

@@ -47,7 +47,7 @@ func TestWorkerPersistsCheckpoints(t *testing.T) {
 		if probe == 0 {
 			t.Fatalf("checkpoint file %s carries no probe number", f)
 		}
-		if err := wire.DecodeSnapshot(snap, func(string, []relation.Tuple) error { return nil }); err != nil {
+		if err := wire.DecodeSnapshot(snap, func(string, relation.Batch) error { return nil }); err != nil {
 			t.Fatalf("checkpoint file %s does not decode: %v", f, err)
 		}
 	}

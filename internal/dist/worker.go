@@ -448,13 +448,13 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			sent.Add(1) // before the batch can reach the wire
 			wq.push(qmsg{m: wireMsg{Kind: kindData, Bucket: dest, From: n.Index(), Pred: pred, Raw: raw, Span: span, Parent: curParent}})
 		}
-		return func(dest int, pred string, tuples []relation.Tuple) {
-			n.RecordSent(dest, len(tuples))
+		return func(dest int, pred string, b relation.Batch) {
+			n.RecordSent(dest, b.N)
 			if sink := n.Sink(); sink != nil {
-				sink.MessageSent(n.Proc(), n.PeerProc(dest), pred, len(tuples))
+				sink.MessageSent(n.Proc(), n.PeerProc(dest), pred, b.N)
 			}
-			if len(tuples) == 0 {
-				sendOne(n, dest, pred, 0, wire.AppendBatch(nil, nil))
+			if b.N == 0 {
+				sendOne(n, dest, pred, 0, wire.AppendFlat(nil, b))
 				return
 			}
 			// Split the logical batch so no wire batch overdraws the byte
@@ -464,9 +464,9 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			// residency bound stays strict. At least one tuple goes per
 			// chunk regardless, so progress never stalls on a degenerate
 			// credit.
-			maxCount := len(tuples)
+			maxCount := b.N
 			if limit := gate.chunkLimit(); limit > 0 {
-				per := int64(len(tuples[0]) * wire.MaxValueBytes)
+				per := int64(b.Arity * wire.MaxValueBytes)
 				if per < 1 {
 					per = 1
 				}
@@ -478,12 +478,10 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 					maxCount = int(mc)
 				}
 			}
-			for start := 0; start < len(tuples); start += maxCount {
-				end := start + maxCount
-				if end > len(tuples) {
-					end = len(tuples)
-				}
-				sendOne(n, dest, pred, end-start, wire.AppendBatch(nil, tuples[start:end]))
+			for start := 0; start < b.N; start += maxCount {
+				end := min(start+maxCount, b.N)
+				chunk := relation.Batch{Arity: b.Arity, N: end - start, Vals: b.Vals[start*b.Arity : end*b.Arity]}
+				sendOne(n, dest, pred, chunk.N, wire.AppendFlat(nil, chunk))
 			}
 		}
 	}
@@ -507,8 +505,8 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		// any superset of the EDB converges to the same fixpoint.
 		if _, snap, err := loadCheckpoint(cfg.Dir, node.Index()); err == nil {
 			installed := false
-			_ = wire.DecodeSnapshot(snap, func(pred string, rows []relation.Tuple) error {
-				node.Accept(-1, pred, rows)
+			_ = wire.DecodeSnapshot(snap, func(pred string, b relation.Batch) error {
+				node.Accept(-1, pred, b)
 				installed = true
 				return nil
 			})
@@ -556,20 +554,20 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 				// owner — but defensiveness costs nothing), keeping the
 				// coordinator's delivered/recv ledger balanced.
 				if n := nodes[m.Bucket]; n != nil {
-					tuples, err := wire.DecodeBatch(m.Raw)
+					b, err := wire.DecodeFlat(m.Raw)
 					if err != nil {
 						return fin(fmt.Errorf("dist: data batch for bucket %d: %w", m.Bucket, err))
 					}
 					if m.Span != 0 {
 						if sink := n.Sink(); sink != nil {
-							obs.SpanRecv(sink, n.Proc(), n.PeerProc(m.From), m.Pred, len(tuples), m.Span, m.Parent)
+							obs.SpanRecv(sink, n.Proc(), n.PeerProc(m.From), m.Pred, b.N, m.Span, m.Parent)
 						}
 						// Derivations from the coming drain are caused by
 						// this batch (the last merged wins when a drain
 						// covers several — a linearization, not a loss).
 						curParent = m.Span
 					}
-					n.Accept(m.From, m.Pred, tuples)
+					n.Accept(m.From, m.Pred, b)
 					touched[m.Bucket] = true
 				}
 				recv.Add(1)
@@ -601,8 +599,8 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 				}
 				// The snapshot decodes in ascending predicate order — the
 				// deterministic install sequence is baked into the encoding.
-				err := wire.DecodeSnapshot(snap, func(pred string, rows []relation.Tuple) error {
-					n.Accept(-1, pred, rows)
+				err := wire.DecodeSnapshot(snap, func(pred string, b relation.Batch) error {
+					n.Accept(-1, pred, b)
 					return nil
 				})
 				if err != nil {

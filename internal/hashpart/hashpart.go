@@ -114,21 +114,36 @@ func (m ModHash) Name() string {
 	return fmt.Sprintf("hmod%d.%d", m.N, m.Seed)
 }
 
-// Apply implements Func.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvValue folds v's four little-endian bytes into the FNV-1a state h,
+// unrolled: routing hashes once per firing.
+func fnvValue(h uint64, v ast.Value) uint64 {
+	u := uint32(v)
+	h = (h ^ uint64(u&0xff)) * fnvPrime
+	h = (h ^ uint64(u>>8&0xff)) * fnvPrime
+	h = (h ^ uint64(u>>16&0xff)) * fnvPrime
+	return (h ^ uint64(u>>24)) * fnvPrime
+}
+
+// Apply implements Func: FNV-1a over each value's four little-endian bytes.
 func (m ModHash) Apply(vals []ast.Value) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	// FNV-1a over each value's four little-endian bytes, unrolled: routing
-	// applies h once per firing.
-	h := offset64 ^ m.Seed
+	h := fnvOffset ^ m.Seed
 	for _, v := range vals {
-		u := uint32(v)
-		h = (h ^ uint64(u&0xff)) * prime64
-		h = (h ^ uint64(u>>8&0xff)) * prime64
-		h = (h ^ uint64(u>>16&0xff)) * prime64
-		h = (h ^ uint64(u>>24)) * prime64
+		h = fnvValue(h, v)
+	}
+	return int(h % uint64(m.N))
+}
+
+// ApplyCols is Apply over t[cols[0]], t[cols[1]], …, read in place, so a
+// router hashes a tuple's sequence columns without gathering them first.
+func (m ModHash) ApplyCols(t []ast.Value, cols []int) int {
+	h := fnvOffset ^ m.Seed
+	for _, c := range cols {
+		h = fnvValue(h, t[c])
 	}
 	return int(h % uint64(m.N))
 }

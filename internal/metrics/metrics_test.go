@@ -37,7 +37,7 @@ func TestRegisterPanics(t *testing.T) {
 	r.Counter("ok_name", "")
 	for _, f := range []func(){
 		func() { r.Counter("0bad", "") },
-		func() { r.Gauge("ok_name", "") },                     // type mismatch
+		func() { r.Gauge("ok_name", "") },                      // type mismatch
 		func() { r.Counter("x_total", "", L("bad-key", "v")) }, // invalid label
 		func() { r.Histogram("h", "", []float64{2, 1}) },       // unsorted bounds
 	} {

@@ -20,10 +20,10 @@ func ValidateExposition(r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 
-	types := map[string]string{}    // family → declared type
-	sampled := map[string]bool{}    // family → samples seen
-	seen := map[string]bool{}       // full series identity → present
-	hists := map[string]*histAcc{}  // family + base labels → histogram accumulator
+	types := map[string]string{}   // family → declared type
+	sampled := map[string]bool{}   // family → samples seen
+	seen := map[string]bool{}      // full series identity → present
+	hists := map[string]*histAcc{} // family + base labels → histogram accumulator
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -38,8 +38,8 @@ func TestCheckTransferableRejectsPinnedRelabel(t *testing.T) {
 func TestCheckTransferableRejectsMalformed(t *testing.T) {
 	cases := []Candidate{
 		{Buckets: 0, Workers: 1, Owner: nil},
-		{Buckets: 2, Workers: 1, Owner: []int{0}},              // short owner map
-		{Buckets: 2, Workers: 1, Owner: []int{0, 1}},           // worker out of range
+		{Buckets: 2, Workers: 1, Owner: []int{0}},                          // short owner map
+		{Buckets: 2, Workers: 1, Owner: []int{0, 1}},                       // worker out of range
 		{Buckets: 2, Workers: 2, Owner: []int{0, 1}, Relabel: []int{0}},    // short relabel
 		{Buckets: 2, Workers: 2, Owner: []int{0, 1}, Relabel: []int{0, 0}}, // not a permutation
 	}

@@ -73,3 +73,48 @@ func TestWorkerAllocMatchesSequential(t *testing.T) {
 		t.Errorf("one worker allocates %.2f× the sequential engine, want ≤ 1.5×", ratio)
 	}
 }
+
+// TestTwoWorkerAllocBound guards the shuffled scheme's allocation: two
+// workers running Example 3 over random(300,900), where about 62k derived
+// tuples cross a channel, must allocate at most 2.75× what the sequential
+// engine allocates for the same least model. Outgoing batches are flat
+// value runs without tuple headers, and pooling concatenates the workers'
+// disjoint @in relations; with []relation.Tuple batches and union pooling
+// the ratio was 3.56.
+func TestTwoWorkerAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts; CI runs this test without -race")
+	}
+	if testing.Short() {
+		t.Skip("measures a full evaluation")
+	}
+	edb := relation.Store{"par": workload.RandomGraph(300, 900, 1)}
+	prog := workload.AncestorProgram()
+	p, err := BuildQ(mustSirup(t, prog), rewrite.SirupSpec{
+		Procs: hashpart.RangeProcs(2),
+		VR:    []string{"Z"}, VE: []string{"X"},
+		H: hashpart.ModHash{N: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	seq := allocBytes(func() {
+		if _, _, err := seminaive.Eval(prog, edb, seminaive.Options{}); err != nil {
+			runErr = err
+		}
+	})
+	par := allocBytes(func() {
+		if _, err := Run(p, edb, RunConfig{}); err != nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	ratio := float64(par) / float64(seq)
+	t.Logf("Eval %.2f MB, two workers %.2f MB: %.2f×", float64(seq)/1e6, float64(par)/1e6, ratio)
+	if ratio > 2.75 {
+		t.Errorf("two workers allocate %.2f× the sequential engine, want ≤ 2.75×", ratio)
+	}
+}

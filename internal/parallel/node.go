@@ -14,10 +14,9 @@ import (
 
 // EmitFunc carries one logical outgoing batch to a transport: dest is a
 // dense worker index (never the emitting node itself), pred a derived
-// predicate. The node hands the tuples slice over — it never touches it
-// again — so a transport may queue it; the tuples themselves are immutable
-// relation rows.
-type EmitFunc func(dest int, pred string, tuples []relation.Tuple)
+// predicate. The batch is a flat copy of the tuples' values, and the node
+// hands it over — it never touches it again — so a transport may queue it.
+type EmitFunc func(dest int, pred string, b relation.Batch)
 
 // Node is the transport-agnostic processor of the paper's abstract
 // architecture: it owns the local base-relation fragments and one slot per
@@ -63,9 +62,15 @@ type Node struct {
 	sink obs.EventSink
 
 	// batch[dest][slot] accumulates the tuples bound for one destination
-	// within one local iteration. Dense indexes in sorted predicate order
-	// make flush's send order deterministic without sorting.
-	batch [][][]relation.Tuple
+	// within one local iteration, as flat values with no tuple headers.
+	// Dense indexes in sorted predicate order make flush's send order
+	// deterministic without sorting.
+	batch [][]relation.Batch
+
+	// suppressed counts the tuples of this node's batches that Run did not
+	// send, over a channel the topology lacks: their home never received
+	// them, so Pool cannot concatenate.
+	suppressed int64
 
 	// scratch holds the head tuple being probed, avoiding an allocation per
 	// firing.
@@ -90,9 +95,15 @@ type predSlot struct {
 	out *relation.Relation
 	// routers are the program's sending rules for this predicate,
 	// precompiled against this processor; selfOnly marks the
-	// communication-free scheme, whose only destination is the node itself.
+	// communication-free scheme, whose only destination is the node itself,
+	// and one the single point-to-point router over distinct variables,
+	// whose one destination emitTuple computes directly.
 	routers  []nodeRouter
 	selfOnly bool
+	one      *nodeRouter
+	// homeless is set once one of this node's tuples had no home: its
+	// router's h named a processor outside the set.
+	homeless bool
 }
 
 // markMine sets row's origin bit, reporting whether it was already set.
@@ -121,9 +132,12 @@ type nodeRouter struct {
 	// eqs are repeated-variable positions: tuple[a] must equal tuple[b].
 	eqs [][2]int
 	// seqPos are the columns of v(r) inside the pattern (point-to-point
-	// routing only), and h the processor's routing function.
+	// routing only), and h the processor's routing function; mod is h when
+	// h is a ModHash (isMod), hashed without the interface call.
 	seqPos []int
 	h      hashpart.Func
+	mod    hashpart.ModHash
+	isMod  bool
 }
 
 // compileRouter flattens rt for the processor procID. Build has already
@@ -155,6 +169,7 @@ func compileRouter(rt Router, procID int) nodeRouter {
 			nr.seqPos[i] = firstCol[v]
 		}
 		nr.h = rt.HFor(procID)
+		nr.mod, nr.isMod = nr.h.(hashpart.ModHash)
 	}
 	return nr
 }
@@ -171,7 +186,7 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 		store:  relation.Store{},
 		preds:  make([]predSlot, len(p.preds)),
 		wm:     &seminaive.Watermarks{Prev: map[string]int{}, Cur: map[string]int{}},
-		batch:  make([][][]relation.Tuple, p.Procs.Len()),
+		batch:  make([][]relation.Batch, p.Procs.Len()),
 	}
 	n.stats.Proc = procID
 	n.stats.Sent = make([]EdgeStats, p.Procs.Len())
@@ -199,10 +214,19 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 				maxSeq = len(nr.seqPos)
 			}
 		}
-		s.selfOnly = len(s.routers) == 1 && s.routers[0].self
+		if len(s.routers) == 1 {
+			rt := &s.routers[0]
+			s.selfOnly = rt.self
+			if !rt.self && !rt.broadcast && len(rt.consts) == 0 && len(rt.eqs) == 0 {
+				s.one = rt
+			}
+		}
 	}
 	for d := range n.batch {
-		n.batch[d] = make([][]relation.Tuple, len(p.preds))
+		n.batch[d] = make([]relation.Batch, len(p.preds))
+		for si, pred := range p.preds {
+			n.batch[d][si].Arity = p.IDB[pred]
+		}
 	}
 	n.scratch = make(relation.Tuple, maxAr)
 	n.routeVals = make([]ast.Value, maxSeq)
@@ -289,25 +313,30 @@ func (n *Node) Init(emit EmitFunc) {
 	n.Drain(emit)
 }
 
-// Accept merges received tuples of one predicate into the local @in
+// Accept merges a received batch of one predicate into the local @in
 // relation, eliminating duplicates by difference (the paper's receive
-// step). from is the sender's dense worker index (-1 when unknown). Call
-// Drain afterwards; transports may Accept several batches per Drain.
-func (n *Node) Accept(from int, pred string, tuples []relation.Tuple) {
+// step). from is the sender's dense worker index (-1 when unknown). It is
+// the one receive path: transports Accept both channel batches and
+// checkpoint snapshots. Call Drain afterwards; transports may Accept
+// several batches per Drain.
+func (n *Node) Accept(from int, pred string, b relation.Batch) {
 	si, ok := n.prog.slots[pred]
 	if !ok {
 		return // unknown predicate: a corrupt or stale message; ignore
 	}
 	rel := n.preds[si].in
+	if b.N > 0 && b.Arity != rel.Arity() {
+		return // a corrupt message; ignore
+	}
 	dupBefore := n.stats.DupReceived
-	for _, t := range tuples {
-		n.stats.TuplesReceived++
-		if !rel.Insert(t) {
+	n.stats.TuplesReceived += int64(b.N)
+	for i := 0; i < b.N; i++ {
+		if !rel.Insert(b.Row(i)) {
 			n.stats.DupReceived++
 		}
 	}
 	if n.sink != nil {
-		n.sink.MessageReceived(n.procID, n.PeerProc(from), pred, len(tuples), int(n.stats.DupReceived-dupBefore))
+		n.sink.MessageReceived(n.procID, n.PeerProc(from), pred, b.N, int(n.stats.DupReceived-dupBefore))
 	}
 }
 
@@ -392,14 +421,25 @@ func (n *Node) recordRule(ri int, fBefore, dupBefore int64, t0 time.Time) {
 // bit tells a rederivation (DupFirings) from a tuple only received so far
 // (a first generation here, still owed to its other destinations). A tuple
 // bound only elsewhere dedups against out. home (the rule's heads are
-// proven to route here alone) skips routing. t may be a scratch buffer; the
-// queued tuple is the stored row.
+// proven to route here alone) skips routing. t may be a scratch buffer:
+// the batches copy its values.
 func (n *Node) emitTuple(si int, home bool, t relation.Tuple) {
 	s := &n.preds[si]
 	var dests []int
 	self := home || s.selfOnly
 	if !self {
-		dests, self = n.route(s, t)
+		if s.one != nil {
+			switch wi, ok := n.home(s.one, t); {
+			case !ok:
+				s.homeless = true
+			case wi == n.wi:
+				self = true
+			default:
+				dests = append(n.destScratch[:0], wi)
+			}
+		} else {
+			dests, self = n.route(s, t)
+		}
 	}
 	if self {
 		row, _ := s.in.InsertRow(t)
@@ -407,19 +447,30 @@ func (n *Node) emitTuple(si int, home bool, t relation.Tuple) {
 			n.stats.DupFirings++
 			return
 		}
-		t = s.in.Row(row)
-	} else {
-		row, fresh := s.out.InsertRow(t)
-		if !fresh {
-			n.stats.DupFirings++
-			return
-		}
-		t = s.out.Row(row)
+	} else if _, fresh := s.out.InsertRow(t); !fresh {
+		n.stats.DupFirings++
+		return
 	}
 	n.stats.Generated++
 	for _, wi := range dests {
-		n.batch[wi][si] = append(n.batch[wi][si], t)
+		n.batch[wi][si].Append(t)
 	}
+}
+
+// home returns the dense index of the one processor the point-to-point
+// router rt sends t to, false when rt's h names a processor outside the set.
+func (n *Node) home(rt *nodeRouter, t relation.Tuple) (int, bool) {
+	var id int
+	if rt.isMod {
+		id = rt.mod.ApplyCols(t, rt.seqPos)
+	} else {
+		vals := n.routeVals[:len(rt.seqPos)]
+		for k, c := range rt.seqPos {
+			vals[k] = t[c]
+		}
+		id = rt.h.Apply(vals)
+	}
+	return n.prog.Procs.Index(id)
 }
 
 // route applies every router of s to t. It returns the remote destinations
@@ -472,11 +523,7 @@ func (n *Node) route(s *predSlot, t relation.Tuple) (dests []int, self bool) {
 			}
 			continue
 		}
-		vals := n.routeVals[:len(rt.seqPos)]
-		for k, c := range rt.seqPos {
-			vals[k] = t[c]
-		}
-		if wi, ok := n.prog.Procs.Index(rt.h.Apply(vals)); ok {
+		if wi, ok := n.home(rt, t); ok {
 			add(wi)
 		}
 	}
@@ -485,16 +532,17 @@ func (n *Node) route(s *predSlot, t relation.Tuple) (dests []int, self bool) {
 
 // flush hands the accumulated logical batches to the transport in
 // (destination, pred) order, so a deterministic schedule sees an
-// identical send sequence run-to-run. Each handed-off slice belongs to the
+// identical send sequence run-to-run. Each handed-off batch belongs to the
 // transport from then on (the in-process runtime queues it).
 func (n *Node) flush(emit EmitFunc) {
 	for wi, byPred := range n.batch {
-		for si, tuples := range byPred {
-			if len(tuples) == 0 {
+		for si := range byPred {
+			b := byPred[si]
+			if b.N == 0 {
 				continue
 			}
-			byPred[si] = nil
-			emit(wi, n.preds[si].name, tuples)
+			byPred[si] = relation.Batch{Arity: b.Arity}
+			emit(wi, n.preds[si].name, b)
 		}
 	}
 }
@@ -572,19 +620,32 @@ func (n *Node) AppendGenerated(dst map[string][]relation.Tuple) {
 
 // Pool performs the final pooling step over finished nodes: each derived
 // predicate's result is the union, over the nodes, of the tuples each
-// generated. Every tuple a node generated sits in its @in (with its origin
-// bit) when the node is among the tuple's destinations and in its out
-// otherwise. Pool adopts the largest of these relations — received rows
-// included, since each was generated elsewhere — so the nodes must not be
-// used afterwards, and adds every other node's generated rows into it. The
-// nodes must share one Program; every derived predicate of it gets an
-// entry, empty or not.
+// generated. It adopts the largest of the nodes' relations, so the nodes
+// must not be used afterwards. The nodes must share one Program; every
+// derived predicate of it gets an entry, empty or not.
+//
+// When build proved that every tuple of a predicate has exactly one home
+// (Program.disjoint) and every tuple reached it — none was homeless and
+// the transport suppressed no send — each generated tuple sits in its
+// home's @in and in no other, so the @in relations are pairwise disjoint
+// and their union is the result: Pool adopts the largest and appends the
+// others without a dedup probe. Otherwise every tuple a node generated
+// sits in its @in (with its origin bit) when the node is among the
+// tuple's destinations and in its out otherwise, so Pool adopts the
+// largest of these relations — received rows included, since each was
+// generated elsewhere — and adds every other node's generated rows into
+// it.
 func Pool(nodes []*Node) relation.Store {
 	out := relation.Store{}
 	if len(nodes) == 0 {
 		return out
 	}
-	for si, pred := range nodes[0].prog.preds {
+	p := nodes[0].prog
+	for si, pred := range p.preds {
+		if p.disjoint[si] && reachedHome(nodes, si) {
+			out[pred] = concatIn(nodes, si)
+			continue
+		}
 		dst := nodes[0].preds[si].in
 		for _, n := range nodes {
 			for _, r := range [2]*relation.Relation{n.preds[si].in, n.preds[si].out} {
@@ -604,6 +665,36 @@ func Pool(nodes []*Node) relation.Store {
 		out[pred] = dst
 	}
 	return out
+}
+
+// reachedHome reports whether every tuple of slot si the nodes generated
+// was delivered to its home.
+func reachedHome(nodes []*Node, si int) bool {
+	for _, n := range nodes {
+		if n.suppressed > 0 || n.preds[si].homeless {
+			return false
+		}
+	}
+	return true
+}
+
+// concatIn pools slot si of nodes whose @in relations are pairwise
+// disjoint: the largest absorbs the others.
+func concatIn(nodes []*Node, si int) *relation.Relation {
+	dst := nodes[0].preds[si].in
+	for _, n := range nodes {
+		if r := n.preds[si].in; r.Len() > dst.Len() {
+			dst = r
+		}
+	}
+	rest := make([]*relation.Relation, 0, len(nodes)-1)
+	for _, n := range nodes {
+		if r := n.preds[si].in; r != dst {
+			rest = append(rest, r)
+		}
+	}
+	dst.AppendDisjoint(rest...)
+	return dst
 }
 
 // Snapshot captures the node's @in relations — the derived tuples this

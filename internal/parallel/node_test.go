@@ -46,17 +46,13 @@ func TestNodeSingleThreadedExecution(t *testing.T) {
 	}
 
 	type batch struct {
-		dest   int
-		pred   string
-		tuples []relation.Tuple
+		dest int
+		pred string
+		b    relation.Batch
 	}
 	var queue []batch
-	emit := func(dest int, pred string, tuples []relation.Tuple) {
-		cp := make([]relation.Tuple, len(tuples))
-		for i, tu := range tuples {
-			cp[i] = tu.Clone()
-		}
-		queue = append(queue, batch{dest, pred, cp})
+	emit := func(dest int, pred string, b relation.Batch) {
+		queue = append(queue, batch{dest, pred, b})
 	}
 	for _, node := range nodes {
 		node.Init(emit)
@@ -64,7 +60,7 @@ func TestNodeSingleThreadedExecution(t *testing.T) {
 	for len(queue) > 0 {
 		b := queue[0]
 		queue = queue[1:]
-		nodes[b.dest].Accept(-1, b.pred, b.tuples)
+		nodes[b.dest].Accept(-1, b.pred, b.b)
 		nodes[b.dest].Drain(emit)
 	}
 
@@ -86,9 +82,14 @@ func TestNodeAcceptUnknownPredicate(t *testing.T) {
 	_, nodes := buildNode(t, 2)
 	// A stale/corrupt message for an unknown predicate must be ignored, not
 	// panic.
-	nodes[0].Accept(-1, "nosuch", []relation.Tuple{{1, 2}})
+	nodes[0].Accept(-1, "nosuch", batchOf(2, relation.Tuple{1, 2}))
 	if nodes[0].Stats().TuplesReceived != 0 {
 		t.Error("unknown-predicate tuples were counted")
+	}
+	// So must a batch of the wrong arity.
+	nodes[0].Accept(-1, "anc", batchOf(3, relation.Tuple{1, 2, 3}))
+	if nodes[0].Stats().TuplesReceived != 0 {
+		t.Error("wrong-arity tuples were counted")
 	}
 }
 
@@ -127,7 +128,16 @@ type handNet struct {
 type handBatch struct {
 	from, dest int
 	pred       string
-	tuples     []relation.Tuple
+	batch      relation.Batch
+}
+
+// batchOf lays rows of the given arity out as one flat batch.
+func batchOf(arity int, rows ...relation.Tuple) relation.Batch {
+	b := relation.Batch{Arity: arity}
+	for _, t := range rows {
+		b.Append(t)
+	}
+	return b
 }
 
 // newHandNet compiles the ancestor sirup over facts with v(r), v(e) and a
@@ -167,14 +177,10 @@ func (net *handNet) tuple(names ...string) relation.Tuple {
 }
 
 func (net *handNet) emit(from int) EmitFunc {
-	return func(dest int, pred string, tuples []relation.Tuple) {
-		cp := make([]relation.Tuple, len(tuples))
-		for i, tu := range tuples {
-			cp[i] = tu.Clone()
-		}
-		b := handBatch{from: from, dest: dest, pred: pred, tuples: cp}
-		net.queue = append(net.queue, b)
-		net.sent = append(net.sent, b)
+	return func(dest int, pred string, b relation.Batch) {
+		hb := handBatch{from: from, dest: dest, pred: pred, batch: b}
+		net.queue = append(net.queue, hb)
+		net.sent = append(net.sent, hb)
 	}
 }
 
@@ -184,7 +190,7 @@ func (net *handNet) run() {
 	for len(net.queue) > 0 {
 		b := net.queue[0]
 		net.queue = net.queue[1:]
-		net.nodes[b.dest].Accept(b.from, b.pred, b.tuples)
+		net.nodes[b.dest].Accept(b.from, b.pred, b.batch)
 		net.nodes[b.dest].Drain(net.emit(b.dest))
 	}
 }
@@ -196,7 +202,7 @@ func (net *handNet) sentTo(from, dest int, t relation.Tuple) int {
 		if b.from != from || b.dest != dest {
 			continue
 		}
-		for _, u := range b.tuples {
+		for _, u := range b.batch.Tuples() {
 			if u.Equal(t) {
 				c++
 			}
@@ -234,7 +240,7 @@ func TestNodeReceiveThenDerive(t *testing.T) {
 		[]string{"X", "Z"}, []string{"X", "Y"}, map[string]int{"a": 0, "b": 1, "c": 2})
 	ab := net.tuple("a", "b")
 	n0 := net.nodes[0]
-	n0.Accept(1, "anc", []relation.Tuple{ab})
+	n0.Accept(1, "anc", batchOf(2, ab))
 	if got, want := countersOf(n0), (counters{received: 1}); got != want {
 		t.Fatalf("after Accept: %+v, want %+v", got, want)
 	}
@@ -277,7 +283,7 @@ func TestNodeBroadcastKeptOnce(t *testing.T) {
 			t.Errorf("anc(b,c) sent %d times to node %d, want 1", c, dest)
 		}
 	}
-	n1.Accept(0, "anc", []relation.Tuple{bc})
+	n1.Accept(0, "anc", batchOf(2, bc))
 	if got, want := countersOf(n1), (counters{firings: 1, generated: 1, received: 1, dupReceived: 1}); got != want {
 		t.Errorf("after duplicate Accept: %+v, want %+v", got, want)
 	}
@@ -361,10 +367,10 @@ func TestNodeSnapshotReplay(t *testing.T) {
 			for i, n := range net.nodes {
 				snap := n.Snapshot()
 				fresh := NewNode(net.p, i, net.global)
-				discard := func(int, string, []relation.Tuple) {}
+				discard := func(int, string, relation.Batch) {}
 				fresh.Init(discard)
 				for pred, rows := range snap {
-					fresh.Accept(-1, pred, rows)
+					fresh.Accept(-1, pred, batchOf(net.p.IDB[pred], rows...))
 				}
 				fresh.Drain(discard)
 				got := fresh.Snapshot()

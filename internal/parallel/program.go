@@ -1,11 +1,11 @@
 // Package parallel implements the paper's abstract parallel architecture and
-// executes the rewritten programs on it: one goroutine per processor in
-// bulk-synchronous supersteps, reliable point-to-point channels t_ij
-// delivered at each barrier, duplicate elimination by difference (Section
-// 3), termination at the first barrier with nothing in flight, and full
-// accounting of communication, redundancy and base-relation
-// placement — the quantities behind Examples 1–3 and the Section 6
-// trade-off.
+// executes the rewritten programs on it: processors taking turns in
+// bulk-synchronous supersteps on up to GOMAXPROCS goroutines, reliable
+// point-to-point channels t_ij delivered at each barrier, duplicate
+// elimination by difference (Section 3), termination at the first barrier
+// with nothing in flight, and full accounting of communication, redundancy
+// and base-relation placement — the quantities behind Examples 1–3 and the
+// Section 6 trade-off.
 package parallel
 
 import (
@@ -42,6 +42,10 @@ type Router struct {
 	// HFor(sender).Apply(v(r)θ). Unused when Self or Broadcast.
 	Seq  []string
 	HFor func(sender int) hashpart.Func
+	// SameH records that HFor returns the same function for every sender,
+	// so a tuple's destination does not depend on where it was generated
+	// (the h of Sections 3 and 7, not the trade-off scheme's h_i).
+	SameH bool
 }
 
 // compiledRule is one rule specialized to a processor.
@@ -89,6 +93,10 @@ type Program struct {
 	// routers by predicate (same for every worker; sender-dependence is
 	// inside HFor).
 	routers map[string][]Router
+	// disjoint[k] records build's proof that every tuple of preds[k] has
+	// exactly one home (see oneHome), so the nodes' @in relations of it
+	// are pairwise disjoint and Pool concatenates them.
+	disjoint []bool
 	// needs lists the EDB subsets each worker materializes.
 	needs []edbNeed
 	// facts embedded in the source program, merged into the EDB at Run.
@@ -205,6 +213,10 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 		}
 		p.routers[rt.Pred] = append(p.routers[rt.Pred], rt)
 	}
+	p.disjoint = make([]bool, len(preds))
+	for i, pred := range preds {
+		p.disjoint[i] = oneHome(p.routers[pred])
+	}
 
 	// Record EDB needs and compile per-worker rules.
 	for si, spec := range specs {
@@ -269,6 +281,35 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 	return p, nil
 }
 
+// pointToPoint returns the column of each variable of rts's pattern when
+// rts is a single point-to-point router whose pattern is distinct
+// variables, so it matches every tuple of the predicate and sends each to
+// exactly one destination.
+func pointToPoint(rts []Router) (map[string]int, bool) {
+	if len(rts) != 1 || rts[0].Self || rts[0].Broadcast {
+		return nil, false
+	}
+	args := rts[0].Pattern.Args
+	col := make(map[string]int, len(args))
+	for i, t := range args {
+		if _, dup := col[t.VarName]; !t.IsVar() || dup {
+			return nil, false
+		}
+		col[t.VarName] = i
+	}
+	return col, true
+}
+
+// oneHome reports whether rts give every tuple exactly one home, the same
+// whichever processor generated it: a single point-to-point router over
+// distinct variables whose h is the same at every sender. Every generator
+// of a tuple then sends it to that one home, the home alone keeps it in
+// @in, and the union of the nodes' @in relations is a disjoint union.
+func oneHome(rts []Router) bool {
+	_, ok := pointToPoint(rts)
+	return ok && rts[0].SameH
+}
+
 // routesHome reports whether every head tuple of a rule constrained by
 // h(seq) = i routes to processor i and nowhere else, given that the head
 // predicate's router applies the same h: the predicate has one
@@ -278,21 +319,11 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 // 3's communication-free argument, applied per rule — so the node may skip
 // it.
 func routesHome(head ast.Atom, seq []string, rts []Router) bool {
-	if len(rts) != 1 {
+	col, ok := pointToPoint(rts)
+	if !ok || len(rts[0].Seq) != len(seq) || len(rts[0].Pattern.Args) != len(head.Args) {
 		return false
 	}
-	rt := rts[0]
-	if rt.Self || rt.Broadcast || len(rt.Seq) != len(seq) || len(rt.Pattern.Args) != len(head.Args) {
-		return false
-	}
-	col := make(map[string]int, len(rt.Pattern.Args))
-	for i, t := range rt.Pattern.Args {
-		if _, dup := col[t.VarName]; !t.IsVar() || dup {
-			return false
-		}
-		col[t.VarName] = i
-	}
-	for k, v := range rt.Seq {
+	for k, v := range rts[0].Seq {
 		if t := head.Args[col[v]]; !t.IsVar() || t.VarName != seq[k] {
 			return false
 		}
@@ -318,6 +349,7 @@ func BuildQ(s *analysis.Sirup, spec rewrite.SirupSpec) (*Program, error) {
 		router.Seq = spec.VR
 		h := spec.H
 		router.HFor = func(int) hashpart.Func { return h }
+		router.SameH = true
 	} else {
 		// v(r) ⊄ Ȳ: the sending condition cannot be checked at the sender
 		// (Example 2) — broadcast.
@@ -440,6 +472,7 @@ func BuildGeneral(prog *ast.Program, gspec rewrite.GeneralSpec) (*Program, error
 			if _, ok := hashpart.SeqPositions(a, rs.Seq); ok {
 				router.Seq = rs.Seq
 				router.HFor = func(int) hashpart.Func { return h }
+				router.SameH = true
 			} else {
 				router.Broadcast = true
 			}

@@ -3,8 +3,10 @@ package parallel
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"parlog/internal/ast"
@@ -94,7 +96,7 @@ type Result struct {
 type message struct {
 	from, to int // dense worker indexes
 	pred     string
-	tuples   []relation.Tuple
+	batch    relation.Batch
 }
 
 // PrepareEDB merges the program's embedded facts with the caller's base
@@ -146,27 +148,36 @@ func nodePlacements(p *Program, global relation.Store, nodes []*Node) map[string
 
 // Run executes the compiled program over the given base relations in
 // supersteps and pools the results. In each superstep every worker with
-// input takes one turn, each on a goroutine of its own (the first on the
-// calling one): it Accepts its inbox in sender order and Drains to its
-// local fixpoint, and each per-iteration batch it emits goes to its own
-// outbox. The barrier then hands every sender's batches to their
-// receivers, in sender order. The first superstep's turns are the workers'
-// initializations; the run ends at the first barrier with nothing in
-// flight, so no termination detector is needed. Because a worker's inbox
-// is a function of the previous superstep alone, every per-processor
-// counter except Busy is schedule-independent and equals RunLockstep's.
-// The EDB store is not modified.
+// input takes one turn: it Accepts its inbox in sender order and Drains to
+// its local fixpoint, and each per-iteration batch it emits goes to its
+// own outbox. The turns run on min(turns, GOMAXPROCS) goroutines, the
+// first the calling one, each taking the next untaken turn, so a run
+// starts goroutines by the CPU count, not the worker count. The barrier
+// then hands every sender's batches to their receivers, in sender order.
+// The first superstep's turns are the workers' initializations; the run
+// ends at the first barrier with nothing in flight, so no termination
+// detector is needed. Because a worker's inbox is a function of the
+// previous superstep alone, every per-processor counter except Busy is
+// schedule-independent and equals RunLockstep's. The EDB store is not
+// modified.
 func Run(p *Program, edb relation.Store, cfg RunConfig) (*Result, error) {
 	return supersteps(p, edb, cfg, "parallel", func(turns []func()) {
-		var wg sync.WaitGroup
-		wg.Add(len(turns) - 1)
-		for _, turn := range turns[1:] {
-			go func(turn func()) {
-				defer wg.Done()
-				turn()
-			}(turn)
+		var next atomic.Int64
+		take := func() {
+			for i := next.Add(1) - 1; i < int64(len(turns)); i = next.Add(1) - 1 {
+				turns[i]()
+			}
 		}
-		turns[0]()
+		var wg sync.WaitGroup
+		k := min(len(turns), runtime.GOMAXPROCS(0))
+		wg.Add(k - 1)
+		for range k - 1 {
+			go func() {
+				defer wg.Done()
+				take()
+			}()
+		}
+		take()
 		wg.Wait()
 	})
 }
@@ -197,11 +208,10 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 	}
 	start := time.Now()
 
-	// Worker wi alone writes outbox[wi] and forbidden[wi] during a
-	// superstep; inbox[wi] is read-only until the barrier.
+	// Worker wi alone writes outbox[wi] during a superstep; inbox[wi] is
+	// read-only until the barrier.
 	inbox := make([][]message, n)
 	outbox := make([][]message, n)
-	forbidden := make([]int64, n)
 	copies := 1
 	if cfg.ChaosDuplicate {
 		copies = 2
@@ -209,17 +219,17 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 	emits := make([]EmitFunc, n)
 	for wi := range emits {
 		wi := wi
-		emits[wi] = func(dest int, pred string, tuples []relation.Tuple) {
+		emits[wi] = func(dest int, pred string, b relation.Batch) {
 			if !cfg.Topology.Allowed(ids[wi], ids[dest]) {
-				forbidden[wi] += int64(len(tuples))
+				nodes[wi].suppressed += int64(b.N)
 				return
 			}
 			for c := 0; c < copies; c++ {
-				nodes[wi].RecordSent(dest, len(tuples))
+				nodes[wi].RecordSent(dest, b.N)
 				if cfg.Sink != nil {
-					cfg.Sink.MessageSent(ids[wi], ids[dest], pred, len(tuples))
+					cfg.Sink.MessageSent(ids[wi], ids[dest], pred, b.N)
 				}
-				outbox[wi] = append(outbox[wi], message{from: wi, to: dest, pred: pred, tuples: tuples})
+				outbox[wi] = append(outbox[wi], message{from: wi, to: dest, pred: pred, batch: b})
 			}
 		}
 	}
@@ -233,7 +243,7 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 				nodes[wi].Init(emits[wi])
 			} else {
 				for _, m := range inbox[wi] {
-					nodes[wi].Accept(m.from, m.pred, m.tuples)
+					nodes[wi].Accept(m.from, m.pred, m.batch)
 				}
 				nodes[wi].Drain(emits[wi])
 			}
@@ -287,12 +297,12 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 	if cfg.Profile {
 		prof = &seminaive.Profile{Engine: engine, WallNs: wall.Nanoseconds()}
 	}
-	for wi, node := range nodes {
+	for _, node := range nodes {
 		if prof != nil {
 			prof.AddRules(node.Profile())
 		}
 		stats.Procs = append(stats.Procs, node.Stats())
-		stats.ForbiddenSends += forbidden[wi]
+		stats.ForbiddenSends += node.suppressed
 	}
 	res := &Result{Output: Pool(nodes), Stats: stats, Profile: prof}
 	stats.Edges = EdgesOf(stats.Procs, ids)

@@ -62,6 +62,39 @@ func (t Tuple) Equal(u Tuple) bool {
 	return true
 }
 
+// Batch is a run of equal-arity tuples laid end to end in one pointer-free
+// slice: tuple i is Vals[i*Arity : (i+1)*Arity]. N counts the tuples, so a
+// batch of zero-arity tuples still carries its size. The transports carry
+// derived tuples in this form, so the collector never scans a batch.
+type Batch struct {
+	Arity, N int
+	Vals     []ast.Value
+}
+
+// Append adds t, of the batch's arity, to the end of the batch.
+func (b *Batch) Append(t Tuple) {
+	b.Vals = append(b.Vals, t...)
+	b.N++
+}
+
+// Row returns tuple i as a capacity-capped slice into Vals.
+func (b Batch) Row(i int) Tuple {
+	lo, hi := i*b.Arity, (i+1)*b.Arity
+	return Tuple(b.Vals[lo:hi:hi])
+}
+
+// Tuples returns the batch's tuples as headers into Vals; nil when empty.
+func (b Batch) Tuples() []Tuple {
+	if b.N == 0 {
+		return nil
+	}
+	out := make([]Tuple, b.N)
+	for i := range out {
+		out[i] = b.Row(i)
+	}
+	return out
+}
+
 // FNV-1a over the little-endian bytes of each value. Matches the classic
 // 64-bit parameters; kept byte-at-a-time so the hash equals hashing the
 // Tuple.Key encoding.
@@ -264,6 +297,34 @@ func (r *Relation) Grow(n int) {
 	}
 	if size > len(r.table) {
 		r.rehash(size)
+	}
+}
+
+// AppendDisjoint appends every row of each src to r. The caller guarantees
+// that the relations are pairwise disjoint and disjoint from r, so no row is
+// compared against a stored one: the arena and the dedup table are sized
+// once for the total, and each row's hash only finds it an empty slot.
+// Plain set mode only; AppendDisjoint panics on a counted relation or an
+// arity mismatch.
+func (r *Relation) AppendDisjoint(srcs ...*Relation) {
+	more := 0
+	for _, s := range srcs {
+		if s.arity != r.arity || s.counts != nil || r.counts != nil {
+			panic(fmt.Sprintf("relation: AppendDisjoint of an arity-%d relation into arity %d (or a counted relation)", s.arity, r.arity))
+		}
+		more += s.n
+	}
+	r.Grow(more)
+	for _, s := range srcs {
+		r.data = append(r.data, s.data[:s.n*s.arity]...)
+		for row := r.n; row < r.n+s.n; row++ {
+			i := r.hashRow(row) & r.mask
+			for r.table[i] != 0 {
+				i = (i + 1) & r.mask
+			}
+			r.table[i] = int32(row + 1)
+		}
+		r.n += s.n
 	}
 }
 

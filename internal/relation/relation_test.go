@@ -326,3 +326,30 @@ func TestRowAndString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// TestAppendDisjoint: appending disjoint relations gives the relation that
+// inserting their rows one by one gives, and the result still dedups.
+func TestAppendDisjoint(t *testing.T) {
+	parts := []*Relation{New(2), New(2), New(2)}
+	want := New(2)
+	var rows []Tuple
+	for i := 0; i < 300; i++ {
+		row := Tuple{ast.Value(i % 17), ast.Value(i / 17)}
+		rows = append(rows, row)
+		parts[i%3].Insert(row)
+		want.Insert(row)
+	}
+	dst := parts[0]
+	dst.AppendDisjoint(parts[1:]...)
+	if dst.Len() != want.Len() || !dst.Equal(want) || !want.Equal(dst) {
+		t.Fatalf("appended relation has %d rows, want %d", dst.Len(), want.Len())
+	}
+	for _, row := range rows {
+		if dst.Insert(row) {
+			t.Fatalf("%v inserted again after AppendDisjoint", row)
+		}
+	}
+	if dst.Insert(Tuple{99, 99}) != true || dst.Len() != want.Len()+1 {
+		t.Error("a new tuple was not inserted after AppendDisjoint")
+	}
+}

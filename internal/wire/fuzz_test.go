@@ -16,6 +16,7 @@ func seedBatches() [][]byte {
 		AppendBatch(nil, nil),
 		AppendBatch(nil, rows),
 		AppendBatch(nil, wide),
+		AppendFlat(nil, relation.Batch{N: 1}),
 	}
 }
 
@@ -75,8 +76,8 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		tuples := 0
-		err := DecodeSnapshot(raw, func(pred string, rows []relation.Tuple) error {
-			tuples += len(rows)
+		err := DecodeSnapshot(raw, func(pred string, b relation.Batch) error {
+			tuples += b.N
 			return nil
 		})
 		if err != nil {

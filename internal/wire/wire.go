@@ -31,47 +31,66 @@ const (
 	MaxBatchHeaderBytes = 10
 )
 
-// AppendBatch appends the batch encoding of rows to dst and returns the
-// extended slice. All rows must share one arity; an empty batch encodes as
-// count 0, arity 0.
-func AppendBatch(dst []byte, rows []relation.Tuple) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(rows)))
-	if len(rows) == 0 {
-		return binary.AppendUvarint(dst, 0)
+// AppendFlat appends the batch encoding of b to dst and returns the
+// extended slice. An empty batch encodes as count 0, arity 0; a batch of
+// zero-arity tuples is its count alone.
+func AppendFlat(dst []byte, b relation.Batch) []byte {
+	if b.N == 0 {
+		return appendHeader(dst, 0, 0)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(rows[0])))
+	return appendValues(appendHeader(dst, b.N, b.Arity), b.Vals[:b.N*b.Arity])
+}
+
+// AppendBatch is AppendFlat for rows held as tuple headers, all of one
+// arity.
+func AppendBatch(dst []byte, rows []relation.Tuple) []byte {
+	if len(rows) == 0 {
+		return appendHeader(dst, 0, 0)
+	}
+	dst = appendHeader(dst, len(rows), len(rows[0]))
 	for _, t := range rows {
-		for _, v := range t {
-			dst = binary.AppendUvarint(dst, uint64(uint32(v)))
-		}
+		dst = appendValues(dst, t)
 	}
 	return dst
 }
 
-// DecodeBatch decodes one batch. All rows are slices into a single flat
-// backing array — one allocation for the values, one for the row headers.
-func DecodeBatch(raw []byte) ([]relation.Tuple, error) {
-	count, arity, rest, err := batchHeader(raw)
-	if err != nil {
-		return nil, err
+func appendHeader(dst []byte, count, arity int) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(dst, uint64(count)), uint64(arity))
+}
+
+func appendValues(dst []byte, vals []ast.Value) []byte {
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
 	}
-	if count == 0 {
-		return nil, nil
+	return dst
+}
+
+// DecodeFlat decodes one batch into a single pointer-free value slice.
+func DecodeFlat(raw []byte) (relation.Batch, error) {
+	count, arity, rest, err := batchHeader(raw)
+	if err != nil || count == 0 {
+		return relation.Batch{}, err
 	}
 	flat := make([]ast.Value, count*arity)
 	for i := range flat {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
-			return nil, fmt.Errorf("wire: truncated batch at value %d/%d", i, len(flat))
+			return relation.Batch{}, fmt.Errorf("wire: truncated batch at value %d/%d", i, len(flat))
 		}
 		flat[i] = ast.Value(uint32(v))
 		rest = rest[n:]
 	}
-	rows := make([]relation.Tuple, count)
-	for i := range rows {
-		rows[i] = flat[i*arity : (i+1)*arity : (i+1)*arity]
+	return relation.Batch{Arity: arity, N: count, Vals: flat}, nil
+}
+
+// DecodeBatch is DecodeFlat returning tuple headers into the one value
+// slice.
+func DecodeBatch(raw []byte) ([]relation.Tuple, error) {
+	b, err := DecodeFlat(raw)
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return b.Tuples(), nil
 }
 
 // BatchCount returns a batch's tuple count without decoding its values;
@@ -96,7 +115,9 @@ func batchHeader(raw []byte) (count, arity int, rest []byte, err error) {
 	if m <= 0 {
 		return 0, 0, nil, fmt.Errorf("wire: truncated batch arity")
 	}
-	if c > 0 && (a == 0 || c*a/a != c || c*a > uint64(len(raw))) {
+	// Every value takes at least one byte, and a zero-arity batch may claim
+	// no more tuples than its header has bytes.
+	if per := max(a, 1); c > 0 && (c*per/per != c || c*per > uint64(len(raw))) {
 		return 0, 0, nil, fmt.Errorf("wire: batch header claims %d×%d values in %d bytes", c, a, len(raw))
 	}
 	return int(c), int(a), raw[n+m:], nil
@@ -123,7 +144,7 @@ func AppendSnapshot(dst []byte, snap map[string][]relation.Tuple) []byte {
 // DecodeSnapshot streams a snapshot's per-predicate batches to fn, in the
 // encoded (ascending-name) order. A nil or empty payload is the empty
 // snapshot. Decoding stops at fn's first error.
-func DecodeSnapshot(raw []byte, fn func(pred string, rows []relation.Tuple) error) error {
+func DecodeSnapshot(raw []byte, fn func(pred string, b relation.Batch) error) error {
 	if len(raw) == 0 {
 		return nil
 	}
@@ -143,11 +164,11 @@ func DecodeSnapshot(raw []byte, fn func(pred string, rows []relation.Tuple) erro
 		if err != nil {
 			return err
 		}
-		rows, err := DecodeBatch(raw[:body])
+		b, err := DecodeFlat(raw[:body])
 		if err != nil {
 			return err
 		}
-		if err := fn(pred, rows); err != nil {
+		if err := fn(pred, b); err != nil {
 			return err
 		}
 		raw = raw[body:]

@@ -48,6 +48,43 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFlatRoundTrip: AppendFlat encodes a flat batch to the same bytes as
+// AppendBatch over its tuples, DecodeFlat gives it back, and a batch of
+// zero-arity tuples keeps its count.
+func TestFlatRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ count, arity int }{
+		{0, 0}, {1, 0}, {2, 0}, {1, 1}, {5, 1}, {7, 2}, {100, 4},
+	} {
+		b := relation.Batch{Arity: tc.arity}
+		for _, row := range mkRows(tc.count+tc.arity, tc.count, tc.arity) {
+			b.Append(row)
+		}
+		raw := AppendFlat(nil, b)
+		if want := AppendBatch(nil, b.Tuples()); !bytes.Equal(raw, want) {
+			t.Fatalf("%d×%d: AppendFlat %x, AppendBatch %x", tc.count, tc.arity, raw, want)
+		}
+		got, err := DecodeFlat(raw)
+		if err != nil {
+			t.Fatalf("%d×%d: %v", tc.count, tc.arity, err)
+		}
+		if got.N != b.N {
+			t.Fatalf("%d×%d: decoded %d tuples", tc.count, tc.arity, got.N)
+		}
+		for i := 0; i < b.N; i++ {
+			if !got.Row(i).Equal(b.Row(i)) {
+				t.Fatalf("%d×%d: row %d = %v, want %v", tc.count, tc.arity, i, got.Row(i), b.Row(i))
+			}
+		}
+		if bc := BatchCount(raw); bc != tc.count {
+			t.Errorf("%d×%d: BatchCount = %d", tc.count, tc.arity, bc)
+		}
+	}
+	// A zero-arity header may not claim more tuples than it has bytes.
+	if _, err := DecodeFlat([]byte{0xff, 0xff, 0x03, 0x00}); err == nil {
+		t.Fatal("zero-arity batch claiming 65535 tuples in 4 bytes accepted")
+	}
+}
+
 func TestBatchNilAndEmpty(t *testing.T) {
 	if rows, err := DecodeBatch(nil); err != nil || rows != nil {
 		t.Fatalf("DecodeBatch(nil) = %v, %v", rows, err)
@@ -90,8 +127,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	raw := AppendSnapshot(nil, snap)
 	got := map[string][]relation.Tuple{}
 	var order []string
-	err := DecodeSnapshot(raw, func(pred string, rows []relation.Tuple) error {
-		got[pred] = rows
+	err := DecodeSnapshot(raw, func(pred string, b relation.Batch) error {
+		got[pred] = b.Tuples()
 		order = append(order, pred)
 		return nil
 	})
