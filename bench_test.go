@@ -493,9 +493,10 @@ source(n0).
 // --- observability: cost of the event layer on the transitive-closure run ---
 
 // BenchmarkObservability pins the tentpole's zero-cost claim: "off" (no
-// sink) must stay within noise of the pre-observability engine, and
-// "counting" shows the price of the built-in metrics sink. Run with
-// -bench=Observability and compare the off/counting pairs.
+// sink) must stay within noise of the pre-observability engine, "counting"
+// shows the price of the built-in metrics sink, and "profile" the price of
+// the runtime profiler's counters (its off path is "off"). Run with
+// -bench=Observability and compare each mode against off.
 func BenchmarkObservability(b *testing.B) {
 	src := `
 anc(X, Y) :- par(X, Y).
@@ -520,21 +521,22 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 			return err
 		}},
 	} {
-		b.Run(engine.name+"/off", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := engine.run(EvalOptions{Workers: engine.workers}); err != nil {
-					b.Fatal(err)
+		for _, mode := range []struct {
+			name string
+			opts EvalOptions
+		}{
+			{"off", EvalOptions{Workers: engine.workers}},
+			{"counting", EvalOptions{Workers: engine.workers, Metrics: true}},
+			{"profile", EvalOptions{Workers: engine.workers, Profile: true}},
+		} {
+			b.Run(engine.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := engine.run(mode.opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(engine.name+"/counting", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := engine.run(EvalOptions{Workers: engine.workers, Metrics: true}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestExperimentIDsUniqueAndOrdered(t *testing.T) {
 			t.Errorf("experiment %s incomplete", e.id)
 		}
 	}
-	if len(experiments) != 22 {
-		t.Errorf("expected 22 experiments, found %d", len(experiments))
+	if len(experiments) != 14 {
+		t.Errorf("expected 14 experiments, found %d", len(experiments))
 	}
 }

@@ -84,8 +84,11 @@ func (a Atom) Apply(sub Subst) Atom {
 }
 
 // String renders the atom with raw constant ids; use Program.FormatAtom for
-// spelled-out constants.
+// spelled-out constants. A zero-arity atom is its bare predicate name.
 func (a Atom) String() string {
+	if len(a.Args) == 0 {
+		return a.Pred
+	}
 	var b strings.Builder
 	b.WriteString(a.Pred)
 	b.WriteByte('(')

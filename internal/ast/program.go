@@ -166,8 +166,12 @@ func isBareConst(name string) bool {
 	return true
 }
 
-// FormatAtom renders a with constants spelled out.
+// FormatAtom renders a with constants spelled out; a zero-arity atom is its
+// bare predicate name.
 func (p *Program) FormatAtom(a Atom) string {
+	if len(a.Args) == 0 {
+		return a.Pred
+	}
 	var b strings.Builder
 	b.WriteString(a.Pred)
 	b.WriteByte('(')

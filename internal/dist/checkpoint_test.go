@@ -77,7 +77,7 @@ func TestCheckpointRecoveryReplaysSuffix(t *testing.T) {
 	// Same seed-5 workload as the non-checkpointed recovery test, but the
 	// kill waits until the small CheckpointEvery has completed two
 	// request/reply cycles for worker 1's bucket.
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 	rec := obs.NewRecorder()
 	res, err := Run(p, edb, Config{CheckpointEvery: 2, CheckpointFault: armOnCheckpoint(in, 1, 2), WorkerDial: dial, Sink: rec})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestCheckpointKillDuringCheckpointing(t *testing.T) {
 
 	// The third batch routed to bucket 1 arms the kill: by then its second
 	// batch has triggered a checkpoint request for the bucket.
-	dial, in := injectorDial(1, fault.Schedule{Seed: 6, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 6, KillConn: 1})
 	res, err := Run(p, edb, Config{
 		CheckpointEvery:    2,
 		CheckpointInterval: time.Millisecond,
@@ -199,7 +199,7 @@ func TestCheckpointEquivalenceLockstep(t *testing.T) {
 	}
 
 	p2, edb2, _ := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 	recovered, err := Run(p2, edb2, Config{CheckpointEvery: 2, CheckpointFault: armOnCheckpoint(in, 1, 2), WorkerDial: dial})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,11 @@
 // Package fault is a deterministic fault-injection layer for the TCP
 // runtime: net.Conn and net.Listener wrappers that drop dial attempts,
 // delay writes, or kill connections on a seeded schedule. Because faults
-// fire on logical events (the n-th dial, the n-th write of the n-th
-// connection) rather than on wall-clock timers or real process kills, a
-// recovery scenario is reproducible under the race detector with nothing
-// but an Injector plugged into the runtime's dial hook.
+// fire on logical events (the n-th dial, the first write of the n-th
+// connection after a runtime hook arms the injector) rather than on
+// wall-clock timers or real process kills, a recovery scenario is
+// reproducible under the race detector with nothing but an Injector
+// plugged into the runtime's dial hook.
 package fault
 
 import (
@@ -32,21 +33,14 @@ type Schedule struct {
 	// before letting one through (exercises connect retry).
 	FailDials int
 	// KillConn is the 1-based ordinal of the wrapped connection to kill;
-	// 0 kills none. The connection dies after KillAfterWrites successful
-	// Write calls: the next write closes the underlying connection and
-	// returns ErrInjected, so the peer sees a reset mid-stream.
+	// 0 kills none. The connection dies at its first write after Arm:
+	// that write closes the underlying connection and returns
+	// ErrInjected, so the peer sees a reset mid-stream. A test arms the
+	// injector from a runtime hook, so the kill follows a logical event
+	// of the run (say, the first batch the coordinator routes to the
+	// victim's bucket) instead of a write count whose place in the run
+	// depends on how fast the peers compute.
 	KillConn int
-	// KillAfterWrites is the number of writes the killed connection is
-	// allowed before it dies. 0 kills on the first write.
-	KillAfterWrites int
-	// KillOnArm holds the kill back until Arm is called: the KillConn
-	// connection then dies at its first write after Arm, and
-	// KillAfterWrites is ignored. A test arms the injector from a runtime
-	// hook, so the kill follows a logical event of the run (say, the
-	// first batch the coordinator routes to the victim's bucket) instead
-	// of a write count whose place in the run depends on how fast the
-	// peers compute.
-	KillOnArm bool
 	// Delay is added to every Write on every wrapped connection.
 	Delay time.Duration
 	// Jitter adds a seeded-uniform extra delay in [0, Jitter) per write.
@@ -107,20 +101,16 @@ func (in *Injector) Listener(ln net.Listener) net.Listener {
 	return &listener{Listener: ln, in: in}
 }
 
-// Arm releases a KillOnArm schedule's kill: the KillConn connection dies
-// at its next write. Arming again is harmless.
+// Arm releases the schedule's kill: the KillConn connection dies at its
+// next write. Arming again is harmless.
 func (in *Injector) Arm() {
 	in.mu.Lock()
 	in.armed = true
 	in.mu.Unlock()
 }
 
-// killDue reports whether the KillConn connection, having made writes
-// successful writes, dies at its next one.
-func (in *Injector) killDue(writes int) bool {
-	if !in.sched.KillOnArm {
-		return writes >= in.sched.KillAfterWrites
-	}
+// killDue reports whether the KillConn connection dies at its next write.
+func (in *Injector) killDue() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.armed
@@ -164,7 +154,6 @@ type conn struct {
 	id int
 
 	mu     sync.Mutex
-	writes int
 	killed bool
 }
 
@@ -177,7 +166,7 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.mu.Unlock()
 		return 0, ErrInjected
 	}
-	if c.in.sched.KillConn == c.id && c.in.killDue(c.writes) {
+	if c.in.sched.KillConn == c.id && c.in.killDue() {
 		c.killed = true
 		c.mu.Unlock()
 		// Close the underlying conn so the peer observes the failure
@@ -185,7 +174,6 @@ func (c *conn) Write(p []byte) (int, error) {
 		c.Conn.Close()
 		return 0, ErrInjected
 	}
-	c.writes++
 	c.mu.Unlock()
 	return c.Conn.Write(p)
 }

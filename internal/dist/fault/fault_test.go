@@ -2,7 +2,6 @@ package fault
 
 import (
 	"errors"
-	"io"
 	"net"
 	"sync"
 	"testing"
@@ -65,48 +64,11 @@ func TestDialFailuresThenSuccess(t *testing.T) {
 	}
 }
 
-func TestKillAfterWrites(t *testing.T) {
-	client, server := pipe(t)
-	in := New(Schedule{KillConn: 1, KillAfterWrites: 3})
-	c := in.Wrap(client)
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.Write([]byte{byte(i)}); err != nil {
-			t.Fatalf("write %d should pass: %v", i, err)
-		}
-	}
-	if _, err := c.Write([]byte{9}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("4th write: want ErrInjected, got %v", err)
-	}
-	// The peer must observe the death: reads hit EOF/reset once the three
-	// good bytes are consumed.
-	buf := make([]byte, 8)
-	total := 0
-	server.SetReadDeadline(time.Now().Add(2 * time.Second))
-	for {
-		n, err := server.Read(buf)
-		total += n
-		if err != nil {
-			if err == io.EOF && total == 3 {
-				break // clean close after exactly the allowed writes
-			}
-			if total == 3 {
-				break // reset is fine too
-			}
-			t.Fatalf("peer read: %v after %d bytes", err, total)
-		}
-	}
-	// Further use of the killed conn keeps failing.
-	if _, err := c.Read(buf); !errors.Is(err, ErrInjected) {
-		t.Errorf("read on killed conn: want ErrInjected, got %v", err)
-	}
-}
-
 // TestKillOnArm checks that an armed schedule kills the connection at its
 // first write after Arm, whatever the write count.
 func TestKillOnArm(t *testing.T) {
 	client, _ := pipe(t)
-	in := New(Schedule{KillConn: 1, KillOnArm: true})
+	in := New(Schedule{KillConn: 1})
 	c := in.Wrap(client)
 	for i := 0; i < 5; i++ {
 		if _, err := c.Write([]byte{byte(i)}); err != nil {
@@ -120,12 +82,16 @@ func TestKillOnArm(t *testing.T) {
 	if _, err := c.Write([]byte{9}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("killed conn write: want ErrInjected, got %v", err)
 	}
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+		t.Errorf("read on killed conn: want ErrInjected, got %v", err)
+	}
 }
 
 func TestSecondConnUnaffected(t *testing.T) {
 	c1a, _ := pipe(t)
 	c2a, c2b := pipe(t)
-	in := New(Schedule{KillConn: 1, KillAfterWrites: 0})
+	in := New(Schedule{KillConn: 1})
+	in.Arm()
 	k := in.Wrap(c1a)
 	ok := in.Wrap(c2a)
 	if _, err := k.Write([]byte{1}); !errors.Is(err, ErrInjected) {
@@ -163,7 +129,8 @@ func TestListenerWraps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := New(Schedule{KillConn: 1, KillAfterWrites: 0})
+	in := New(Schedule{KillConn: 1})
+	in.Arm()
 	wln := in.Listener(ln)
 	defer wln.Close()
 	go func() {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"parlog/internal/ast"
 	"parlog/internal/dist/fault"
 	"parlog/internal/hashpart"
 	"parlog/internal/parallel"
@@ -28,8 +27,8 @@ func flatEdgeProgram(t *testing.T, n int) (*parallel.Program, relation.Store) {
 	src.WriteString(`
 reach(X) :- start(X).
 reach(Y) :- reach(X), e(X, Y).
-found(X) :- reach(X), goal(X).
-alarm(Y) :- found(X), node(Y).
+found :- reach(X), goal(X).
+alarm(Y) :- found, node(Y).
 start(v0). goal(v7). goal(v40).
 `)
 	for i := 0; i < 60; i++ {
@@ -39,18 +38,6 @@ start(v0). goal(v7). goal(v40).
 		}
 	}
 	prog := parser.MustParse(src.String())
-	// The parser has no syntax for a zero-arity atom: drop found's argument.
-	for ri := range prog.Rules {
-		r := &prog.Rules[ri]
-		if r.Head.Pred == "found" {
-			r.Head = ast.NewAtom("found")
-		}
-		for bi := range r.Body {
-			if r.Body[bi].Pred == "found" {
-				r.Body[bi] = ast.NewAtom("found")
-			}
-		}
-	}
 	seq, _, err := seminaive.Eval(prog, relation.Store{}, seminaive.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +135,7 @@ func TestFlatBatchEdgeCases(t *testing.T) {
 
 	// Kill worker 1 at its bucket's second checkpoint reply: the survivor
 	// adopts the bucket and replays its last checkpoint through Accept.
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 	recovered, err := Run(p, relation.Store{}, Config{CheckpointEvery: 2, CheckpointFault: armOnCheckpoint(in, 1, 2), WorkerDial: dial})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestLocalCheckpointAdoption(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 5)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 	res, err := Run(p, edb, Config{
 		CheckpointEvery:  2,
 		CheckpointFault:  armOnCheckpoint(in, 1, 2),

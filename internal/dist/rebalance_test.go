@@ -218,8 +218,9 @@ func TestRebalanceSkewTriggered(t *testing.T) {
 
 // TestMigrationChaosKillDuringMigration composes the fault injector with a
 // forced migration: worker 1 — the migration target under the deterministic
-// tie-break — is killed while batches are still in flight, so the death
-// races the adopt/replay of the migrated bucket. Death recovery must then
+// tie-break — is killed at its first write after the coordinator decides
+// the first migration, so the death races the adopt/replay of the migrated
+// bucket. Death recovery must then
 // move everything worker 1 hosted (its native buckets plus the freshly
 // migrated one) to the survivors, and the model must match the undisturbed
 // static run exactly. Run under -race -count=5.
@@ -232,13 +233,16 @@ func TestMigrationChaosKillDuringMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dial, _ := injectorDial(1, fault.Schedule{Seed: 15, KillConn: 1, KillAfterWrites: 25})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 15, KillConn: 1})
 	res, err := Run(p, edb, Config{
 		Workers:    3,
 		WorkerDial: dial,
 		Rebalance: RebalanceConfig{
 			Enabled: true, Force: true, MaxMigrations: 2,
 		},
+		// The coordinator calls the hook as it decides a migration; the
+		// candidate goes on unchanged.
+		RebalanceFault: func(*network.Candidate) { in.Arm() },
 	})
 	if err != nil {
 		t.Fatal(err)

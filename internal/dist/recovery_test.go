@@ -67,7 +67,7 @@ func TestBucketRecoveryKillOneOfThree(t *testing.T) {
 	// Kill worker 1's (only) connection once the coordinator has routed
 	// data to its bucket: past the join handshake, with a log to replay,
 	// and before the run can quiesce.
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 	rec := obs.NewRecorder()
 	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: rec})
 	if err != nil {
@@ -112,8 +112,8 @@ func TestBucketRecoveryCascade(t *testing.T) {
 
 	// Worker 1's kill is armed by the first batch routed to bucket 1, and
 	// worker 2's by the first batch routed to bucket 2 after that.
-	in1 := fault.New(fault.Schedule{Seed: 6, KillConn: 1, KillOnArm: true})
-	in2 := fault.New(fault.Schedule{Seed: 7, KillConn: 1, KillOnArm: true})
+	in1 := fault.New(fault.Schedule{Seed: 6, KillConn: 1})
+	in2 := fault.New(fault.Schedule{Seed: 7, KillConn: 1})
 	dial := func(wi int) DialFunc {
 		switch wi {
 		case 1:
@@ -242,7 +242,7 @@ func TestRecoveryMetrics(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 9)
 	p, edb, _ := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	dial, in := injectorDial(1, fault.Schedule{Seed: 9, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 9, KillConn: 1})
 	cs := obs.NewCounting()
 	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: cs})
 	if err != nil {

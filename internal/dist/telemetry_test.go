@@ -69,7 +69,7 @@ func scrape(t *testing.T, url string) (map[string]float64, error) {
 func TestDistributedMetricsScrapeUnderFaults(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 5)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 
 	reg := metrics.New()
 	srv, err := metrics.NewServer("127.0.0.1:0", reg, metrics.ServerOptions{})
@@ -158,7 +158,7 @@ func TestDistributedMetricsScrapeUnderFaults(t *testing.T) {
 func TestReplayCarriesOriginatingSpan(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 5)
 	p, edb, _ := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1, KillOnArm: true})
+	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 
 	rec := obs.NewRecorder()
 	if _, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: rec}); err != nil {

@@ -45,7 +45,8 @@ func FuzzParse(f *testing.F) {
 		"p(a) :- q(a), r(b).",
 		"p(X,Y):-q(Y,X).",
 		"p(_,_) :- q(_).",
-		"päö(X) :- qüü(X).", // non-ASCII identifiers
+		"päö(X) :- qüü(X).",                         // non-ASCII identifiers
+		"found :- reach(X), goal(X), !done.\ndone.", // zero-arity atoms
 	}
 	for _, s := range seeds {
 		f.Add(s)

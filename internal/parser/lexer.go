@@ -4,12 +4,13 @@
 //
 //	program  := { clause }
 //	clause   := atom [ ":-" atom { "," atom } ] "."
-//	atom     := ident "(" term { "," term } ")"
+//	atom     := ident [ "(" term { "," term } ")" ]
 //	term     := VARIABLE | CONSTANT | INTEGER | STRING
 //
 // Identifiers starting with an upper-case letter or "_" are variables;
 // identifiers starting with a lower-case letter, integers and quoted strings
-// are constants. "%" starts a line comment.
+// are constants. A bare ident is a zero-arity atom. "%" starts a line
+// comment.
 package parser
 
 import (

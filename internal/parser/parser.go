@@ -118,12 +118,16 @@ func (p *parser) clause() (ast.Rule, error) {
 	return r, nil
 }
 
+// atom parses pred(t1, ..., tn), or a bare pred as a zero-arity atom.
 func (p *parser) atom() (ast.Atom, error) {
 	name, err := p.expect(tokIdent)
 	if err != nil {
 		return ast.Atom{}, err
 	}
-	if _, err := p.expect(tokLParen); err != nil {
+	if p.tok.kind != tokLParen {
+		return ast.Atom{Pred: name.text}, nil
+	}
+	if err := p.advance(); err != nil {
 		return ast.Atom{}, err
 	}
 	var args []ast.Term

@@ -36,6 +36,33 @@ func TestParseAncestor(t *testing.T) {
 	}
 }
 
+// TestParseZeroArity checks that a bare identifier is a zero-arity atom in
+// a head, a positive or negated body and a fact, and that the printer
+// renders it bare so the program re-parses to itself.
+func TestParseZeroArity(t *testing.T) {
+	src := "found :- reach(X), goal(X).\nlost :- start, !found.\nstart.\n"
+	prog, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := prog.Rules[0]
+	if r.Head.Pred != "found" || r.Head.Arity() != 0 || len(r.Body) != 2 {
+		t.Errorf("found rule parsed wrong: %s", prog.FormatRule(r))
+	}
+	if r := prog.Rules[1]; len(r.Negated) != 1 || r.Negated[0].Arity() != 0 || r.Body[0].Arity() != 0 {
+		t.Errorf("lost rule parsed wrong: %s", prog.FormatRule(r))
+	}
+	if _, facts := prog.FactTuples(); len(facts["start"]) != 1 || len(facts["start"][0]) != 0 {
+		t.Errorf("start fact = %v, want one empty tuple", facts["start"])
+	}
+	if got := prog.String(); got != src {
+		t.Errorf("printed %q, want %q", got, src)
+	}
+	if _, err := Parse("p.\np(a)."); err == nil || !strings.Contains(err.Error(), "arities 0 and 1") {
+		t.Errorf("mixed arities: err = %v", err)
+	}
+}
+
 func TestParseTermKinds(t *testing.T) {
 	prog, err := Parse(`p(X) :- q(X, abc, 42, -7, "hello world", _, _).`)
 	if err != nil {

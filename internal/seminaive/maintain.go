@@ -49,7 +49,8 @@ type MaintainStats struct {
 	Overdeleted, Rederived int
 	// Firings is the maintenance passes' derived work: successful ground
 	// substitutions enumerated while propagating the delta — the quantity
-	// E19 compares against a from-scratch refixpoint.
+	// TestIVMFiringsBeatRefixpoint compares against a from-scratch
+	// refixpoint.
 	Firings int64
 	// Iterations counts semi-naive rounds across all maintenance passes.
 	Iterations int

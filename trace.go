@@ -18,8 +18,7 @@ type TraceEvent = obs.Event
 
 // TraceRecorder is the built-in JSON trace sink: it captures the full
 // event stream in memory, exports it with WriteJSON, and canonicalizes it
-// (timestamps zeroed) for deterministic comparison. cmd/dlbench uses it to
-// emit BENCH_parallel.json.
+// (timestamps zeroed) for deterministic comparison.
 type TraceRecorder = obs.Recorder
 
 // NewTraceRecorder returns an empty trace recorder.
