@@ -69,14 +69,22 @@ par(a, b). par(b, c).
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A bare "anc" parses as a zero-arity atom, which anc's arity 2 rejects.
-	in := strings.NewReader("anc(a, X)\nanc\nanc(X, X).\n\n")
+	// A bare "anc" parses as a zero-arity atom, which anc's arity 2 rejects;
+	// "badquery" and the typo "ancc" name predicates the program never
+	// mentions.
+	in := strings.NewReader("anc(a, X)\nanc\nbadquery\nancc(a, X)\nanc(X, X).\n\n")
 	var out strings.Builder
 	repl(context.Background(), prog, nil, in, &out)
 	got := out.String()
-	for _, want := range []string{"anc(a, b).", "anc(a, c).", "% 2 answers", "error:", "% 0 answers"} {
+	for _, want := range []string{"anc(a, b).", "anc(a, c).", "% 2 answers", "has arity 2", "goal badquery: unknown predicate", "goal ancc: unknown predicate", "% 0 answers"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("REPL output missing %q:\n%s", want, got)
 		}
+	}
+	if n := strings.Count(got, "error:"); n != 3 {
+		t.Errorf("REPL printed %d errors, want 3:\n%s", n, got)
+	}
+	if n := strings.Count(got, "answers"); n != 2 {
+		t.Errorf("REPL answered %d queries, want 2:\n%s", n, got)
 	}
 }

@@ -1,6 +1,8 @@
 package parlog
 
 import (
+	"errors"
+
 	"parlog/internal/analysis"
 	"parlog/internal/dist"
 )
@@ -26,4 +28,8 @@ var (
 	// MaxMemoryBytes budget even after a forced checkpoint-and-truncate
 	// cycle — the fail-fast alternative to an out-of-memory kill.
 	ErrResourceExhausted = dist.ErrResourceExhausted
+
+	// ErrUnknownPredicate reports a query goal naming a predicate the
+	// program never mentions, such as a misspelt one.
+	ErrUnknownPredicate = errors.New("unknown predicate")
 )

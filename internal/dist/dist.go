@@ -71,6 +71,7 @@ import (
 	"sync"
 	"time"
 
+	"parlog/internal/hashpart"
 	"parlog/internal/network"
 	"parlog/internal/obs"
 	"parlog/internal/parallel"
@@ -91,6 +92,16 @@ var (
 	// truncation cycle — the fail-fast alternative to an OOM kill.
 	ErrResourceExhausted = errors.New("dist: resource budget exhausted")
 )
+
+// outBatch is one hosted bucket's share of the final pooling step for one
+// predicate (parallel.Node.Output) as a wire-encoded batch; Home marks the
+// bucket's whole home set.
+type outBatch struct {
+	Bucket int
+	Pred   string
+	Home   bool
+	Raw    []byte
+}
 
 // msgKind enumerates wire message types. Control and data share one
 // connection per worker, so a single envelope carries both planes.
@@ -124,7 +135,8 @@ type wireMsg struct {
 	From   int   // Data: originating bucket
 	Pred   string
 	Raw    []byte               // Data: one wire-encoded tuple batch (internal/wire)
-	Snap   []byte               // Output: the pooled relations; CheckpointReply/Adopt: the snapshot — both wire-encoded
+	Snap   []byte               // CheckpointReply/Adopt: the wire-encoded snapshot
+	Out    []outBatch           // Output: each hosted bucket's share of the pooling, per predicate
 	Stats  []parallel.ProcStats // Output: one entry per hosted bucket
 	// Profiles carries the hosted buckets' per-rule runtime profiles on
 	// Output when the run was started with Profile set; the flat exported
@@ -338,6 +350,10 @@ type Config struct {
 	// writes to simulate congested links). The coordinator keeps the raw
 	// TCP listener for deadlines; only Accept goes through the wrapper.
 	WrapListener func(net.Listener) net.Listener
+
+	// withholdHomes pools every predicate by union, as if no bucket had
+	// shipped its home set: the differential tests' reference path.
+	withholdHomes bool
 }
 
 func (c *Config) fill() {
@@ -440,10 +456,22 @@ type Result struct {
 	// recovered and migrated ones) fold by constraint-stripped rule text.
 	Profile *seminaive.Profile
 	// OutputRows counts the rows the workers shipped in their final
-	// outputs, before the coordinator's union removes the tuples that
-	// several buckets generated. Each bucket ships only what it generated,
-	// so this equals the sum of Stats[i].Generated.
+	// outputs. A bucket ships its home set of a predicate whose tuples
+	// provably reached their one home, and otherwise only the rows it
+	// generated. When every predicate was concatenated, the home sets
+	// partition the model and this equals its size; when no bucket shipped
+	// a home set, it equals the sum of Stats[i].Generated.
 	OutputRows int64
+	// Concatenated lists, sorted, the predicates pooled by concatenating
+	// the buckets' home sets without a dedup probe. The coordinator does so
+	// when every bucket shipped the predicate's home set and no tuple can
+	// have left its home: no worker died, no bucket migrated, and the
+	// router dropped or diverted no batch. Every other predicate is pooled
+	// by union.
+	Concatenated []string
+	// Placements is the base-relation layout over the buckets, read off
+	// the fragments the workers' nodes built; Run sets it.
+	Placements map[string]hashpart.Placement
 	// WorkerBusy holds each worker's cumulative evaluation nanoseconds
 	// (from its final status reply), indexed by dense worker index; dead
 	// workers keep the last value they reported. On the paper's
@@ -671,6 +699,7 @@ type router struct {
 	ckpts     int // accepted checkpoints
 	truncated int64
 	dropped   int64 // out-of-range data batches discarded
+	diverted  int64 // data batches RouteFault sent to another bucket
 
 	// Rebalancer state.
 	migrations    []Migration
@@ -728,7 +757,10 @@ func (r *router) route(w *wkState, m wireMsg) {
 	}
 	w.accepted++
 	if r.cfg.RouteFault != nil {
-		m.Bucket = r.cfg.RouteFault(w.index, m.Bucket)
+		if b := r.cfg.RouteFault(w.index, m.Bucket); b != m.Bucket {
+			m.Bucket = b
+			r.diverted++
+		}
 	}
 	if m.Bucket < 0 || m.Bucket >= len(r.buckets) {
 		// Corrupt destination: accepted (so the wave math stays
@@ -1533,40 +1565,23 @@ func (c *Coordinator) Wait() (*Result, error) {
 	res.DroppedBatches = r.dropped
 	res.Migrations = append(res.Migrations, r.migrations...)
 	res.RebalanceRejected = r.rebalRejected
+	var outs []*wireMsg
 	for _, w := range ws {
 		res.WorkerBusy = append(res.WorkerBusy, w.rBusy)
-	}
-	var decodeErr error
-	for _, w := range ws {
-		if w.output == nil {
-			continue
-		}
-		err := wire.DecodeSnapshot(w.output.Snap, func(pred string, b relation.Batch) error {
-			if b.N == 0 {
-				return nil
-			}
-			ar := b.Arity
-			if want, ok := c.arities[pred]; ok {
-				ar = want
-			}
-			dst := res.Output.Get(pred, ar)
-			res.OutputRows += int64(b.N)
-			for i := 0; i < b.N; i++ {
-				dst.Insert(b.Row(i))
-			}
-			return nil
-		})
-		if err != nil && decodeErr == nil {
-			decodeErr = fmt.Errorf("dist: worker %d output payload: %w", w.index, err)
-		}
-		res.Stats = append(res.Stats, w.output.Stats...)
-		if res.Profile != nil {
-			res.Profile.AddRules(w.output.Profiles)
+		if w.output != nil {
+			outs = append(outs, w.output)
 		}
 	}
+	homed := len(r.deaths) == 0 && len(r.migrations) == 0 && r.dropped == 0 && r.diverted == 0
 	r.mu.Unlock()
-	if decodeErr != nil {
-		return nil, decodeErr
+	for _, out := range outs {
+		res.Stats = append(res.Stats, out.Stats...)
+		if res.Profile != nil {
+			res.Profile.AddRules(out.Profiles)
+		}
+	}
+	if err := pool(res, outs, homed && !c.cfg.withholdHomes, len(r.buckets)); err != nil {
+		return nil, err
 	}
 	sort.Slice(res.Stats, func(i, j int) bool { return res.Stats[i].Proc < res.Stats[j].Proc })
 	res.Wall = time.Since(start)
@@ -1574,6 +1589,67 @@ func (c *Coordinator) Wait() (*Result, error) {
 		res.Profile.WallNs = res.Wall.Nanoseconds()
 	}
 	return res, nil
+}
+
+// pool is the final pooling step over the workers' outputs. A predicate
+// every one of the buckets shipped as its home set is, when homed holds, a
+// disjoint union: its batches are decoded straight into one relation, sized
+// once from their header counts, with no dedup probe. Every other
+// predicate's rows are added by union.
+func pool(res *Result, outs []*wireMsg, homed bool, buckets int) error {
+	homes := map[string]int{}
+	total := map[string]int{}
+	for _, out := range outs {
+		for _, ob := range out.Out {
+			if ob.Home {
+				homes[ob.Pred]++
+			}
+			total[ob.Pred] += wire.BatchCount(ob.Raw)
+		}
+	}
+	concat := map[string]bool{}
+	for pred, k := range homes {
+		if homed && k == buckets && res.Output[pred] != nil {
+			concat[pred] = true
+			res.Output[pred].Grow(total[pred])
+			res.Concatenated = append(res.Concatenated, pred)
+		}
+	}
+	sort.Strings(res.Concatenated)
+	for _, out := range outs {
+		for _, ob := range out.Out {
+			dst := res.Output[ob.Pred]
+			var n int
+			var err error
+			if concat[ob.Pred] {
+				n, err = wire.DecodeInto(ob.Raw, dst)
+			} else {
+				n, err = union(res.Output, ob)
+			}
+			if err != nil {
+				return fmt.Errorf("dist: worker %d output for bucket %d: %w", out.Index, ob.Bucket, err)
+			}
+			res.OutputRows += int64(n)
+		}
+	}
+	return nil
+}
+
+// union adds the rows of one output batch to the pooled relation of its
+// predicate, dropping the duplicates, and returns the batch's row count.
+func union(pooled relation.Store, ob outBatch) (int, error) {
+	b, err := wire.DecodeFlat(ob.Raw)
+	if err != nil || b.N == 0 {
+		return 0, err
+	}
+	dst, err := pooled.GetChecked(ob.Pred, b.Arity)
+	if err != nil {
+		return 0, err
+	}
+	for i := 0; i < b.N; i++ {
+		dst.Insert(b.Row(i))
+	}
+	return b.N, nil
 }
 
 // readLoop decodes one worker's inbound stream and dispatches it.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"sync"
 
 	"parlog/internal/parallel"
 	"parlog/internal/relation"
@@ -39,9 +40,18 @@ func Run(p *parallel.Program, edb relation.Store, cfg Config) (*Result, error) {
 	if cfg.Sink != nil {
 		cfg.Sink.RunStart("dist", p.Procs.IDs())
 	}
+	// built keeps the first node made for each bucket: its EDB fragment
+	// gives the run's placements without fragmenting the EDB again.
+	var builtMu sync.Mutex
+	built := make([]*parallel.Node, cfg.Buckets)
 	newNode := func(bucket int) *parallel.Node {
 		n := parallel.NewNode(p, bucket, global)
 		n.SetSink(cfg.Sink)
+		builtMu.Lock()
+		if built[bucket] == nil {
+			built[bucket] = n
+		}
+		builtMu.Unlock()
 		return n
 	}
 	type werr struct {
@@ -81,6 +91,9 @@ func Run(p *parallel.Program, edb relation.Store, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("dist: worker %d failed: %w", w.wi, w.err)
 		}
 	}
+	// Every bucket was hosted by a live worker at the end, so each has a
+	// node; every worker has returned, so none is still being made.
+	res.Placements = parallel.NodePlacements(p, global, built)
 	if cfg.Sink != nil {
 		cfg.Sink.RunEnd(res.Wall)
 	}

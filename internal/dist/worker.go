@@ -677,16 +677,17 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 				hosted = append(hosted, b)
 			}
 			sort.Ints(hosted)
-			// Each node ships only the tuples it generated: the received
-			// rows were generated, and are shipped, elsewhere.
-			generated := map[string][]relation.Tuple{}
+			// Each node ships its home sets, or else only the tuples it
+			// generated: the received rows were generated, and are
+			// shipped, elsewhere.
 			for _, b := range hosted {
 				n := nodes[b]
 				out.Stats = append(out.Stats, n.Stats())
 				out.Profiles = append(out.Profiles, n.Profile()...)
-				n.AppendGenerated(generated)
+				n.Output(func(pred string, home bool, fb relation.Batch) {
+					out.Out = append(out.Out, outBatch{Bucket: b, Pred: pred, Home: home, Raw: wire.AppendFlat(nil, fb)})
+				})
 			}
-			out.Snap = wire.AppendSnapshot(nil, generated)
 			wq.push(control(out))
 			return fin(nil)
 		}

@@ -144,11 +144,7 @@ unreachable(X) :- node(X), !reach(X).
 		t.Errorf("|unreachable| = %d, want 2", res.Output["unreachable"].Len())
 	}
 	// The negated relation must be fully replicated at both workers.
-	global, err := PrepareEDB(p, edb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := Placements(p, global)["reach"]
+	pl := res.Stats.Placements["reach"]
 	for i, n := range pl.TuplesPerProc {
 		if n != 1 {
 			t.Errorf("proc %d holds %d reach tuples, want full copy 1", i, n)

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"math/bits"
-	"slices"
 	"time"
 
 	"parlog/internal/ast"
@@ -600,22 +599,41 @@ func (s *predSlot) generatedLen(skip *relation.Relation) int {
 	return n
 }
 
-// AppendGenerated appends to dst, per derived predicate, every tuple this
-// node generated — its share of the final pooling step, which a transport
-// ships instead of the node's relations. Across the nodes of a run the
-// shares add up to the run's Generated count, and their union is the
-// pooled result. The rows are immutable relation rows, not copies.
-func (n *Node) AppendGenerated(dst map[string][]relation.Tuple) {
+// Output hands fn, per derived predicate, this node's share of the final
+// pooling step, which a transport ships instead of the node's relations.
+// When the predicate's tuples provably reached their one home (homeSet),
+// the share is the node's whole @in, flagged home: exactly the tuples homed
+// here, so the home sets of all nodes are pairwise disjoint and their
+// concatenation is the pooled result. It is handed over even when empty,
+// so a collector can tell that every node's share was a home set. Any other
+// predicate's share is the tuples this node generated, handed over only
+// when there are some; across the nodes these add up to the run's
+// Generated count, and their union is the pooled result. A home set shares
+// the relation's arena instead of copying it; arena rows are immutable, so
+// it stays valid however the node evolves.
+func (n *Node) Output(fn func(pred string, home bool, b relation.Batch)) {
 	for si := range n.preds {
 		s := &n.preds[si]
+		if n.homeSet(si) {
+			fn(s.name, true, s.in.Flat())
+			continue
+		}
 		k := s.generatedLen(nil)
 		if k == 0 {
 			continue
 		}
-		rows := slices.Grow(dst[s.name], k)
-		s.generated(nil, func(t relation.Tuple) { rows = append(rows, t) })
-		dst[s.name] = rows
+		b := relation.Batch{Arity: s.in.Arity(), Vals: make([]ast.Value, 0, k*s.in.Arity())}
+		s.generated(nil, b.Append)
+		fn(s.name, false, b)
 	}
+}
+
+// homeSet reports whether slot si's @in holds exactly the tuples homed at
+// this node: build proved every tuple of the predicate has one home
+// (Program.disjoint), none of this node's tuples was homeless, and the
+// transport suppressed none of its sends.
+func (n *Node) homeSet(si int) bool {
+	return n.prog.disjoint[si] && n.suppressed == 0 && !n.preds[si].homeless
 }
 
 // Pool performs the final pooling step over finished nodes: each derived
@@ -642,7 +660,7 @@ func Pool(nodes []*Node) relation.Store {
 	}
 	p := nodes[0].prog
 	for si, pred := range p.preds {
-		if p.disjoint[si] && reachedHome(nodes, si) {
+		if reachedHome(nodes, si) {
 			out[pred] = concatIn(nodes, si)
 			continue
 		}
@@ -667,11 +685,10 @@ func Pool(nodes []*Node) relation.Store {
 	return out
 }
 
-// reachedHome reports whether every tuple of slot si the nodes generated
-// was delivered to its home.
+// reachedHome reports whether every node's @in of slot si is its home set.
 func reachedHome(nodes []*Node, si int) bool {
 	for _, n := range nodes {
-		if n.suppressed > 0 || n.preds[si].homeless {
+		if !n.homeSet(si) {
 			return false
 		}
 	}

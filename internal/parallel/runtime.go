@@ -130,20 +130,24 @@ func PrepareEDB(p *Program, edb relation.Store) (relation.Store, error) {
 	return global, nil
 }
 
-// Placements computes the per-predicate base-relation layout the program
-// induces over the prepared global EDB.
-func Placements(p *Program, global relation.Store) map[string]hashpart.Placement {
-	return makePlacements(p, global, func(pred string, wi int) int {
-		return fragmentFor(p, pred, wi, p.Procs.IDs()[wi], global).Len()
-	})
-}
-
-// nodePlacements reads the layout off the fragments the nodes already
-// materialized, instead of fragmenting the EDB a second time.
-func nodePlacements(p *Program, global relation.Store, nodes []*Node) map[string]hashpart.Placement {
-	return makePlacements(p, global, func(pred string, wi int) int {
-		return nodes[wi].store[pred].Len()
-	})
+// NodePlacements computes the per-predicate base-relation layout the
+// program induces over the prepared global EDB, reading each processor's
+// share off the fragment its node materialized (nodes[wi] is dense worker
+// wi's), so the EDB is not fragmented a second time.
+func NodePlacements(p *Program, global relation.Store, nodes []*Node) map[string]hashpart.Placement {
+	placements := make(map[string]hashpart.Placement, len(p.EDB))
+	for pred := range p.EDB {
+		pl := hashpart.Placement{Pred: pred, TuplesPerProc: make([]int, p.Procs.Len())}
+		// Partitioned iff the fragments together hold at most the relation.
+		total := 0
+		for wi := range pl.TuplesPerProc {
+			pl.TuplesPerProc[wi] = nodes[wi].store[pred].Len()
+			total += pl.TuplesPerProc[wi]
+		}
+		pl.Partitioned = total <= global[pred].Len()
+		placements[pred] = pl
+	}
+	return placements
 }
 
 // Run executes the compiled program over the given base relations in
@@ -292,7 +296,7 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 	}
 
 	// Final pooling: union each derived predicate across processors.
-	stats := &Stats{Placements: nodePlacements(p, global, nodes), Wall: wall}
+	stats := &Stats{Placements: NodePlacements(p, global, nodes), Wall: wall}
 	var prof *seminaive.Profile
 	if cfg.Profile {
 		prof = &seminaive.Profile{Engine: engine, WallNs: wall.Nanoseconds()}
@@ -310,26 +314,6 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 		return res, fmt.Errorf("parallel: topology suppressed %d tuple sends — the given network cannot execute this scheme", stats.ForbiddenSends)
 	}
 	return res, nil
-}
-
-// makePlacements computes per-predicate placement statistics from the
-// fragment size of each (predicate, dense worker index).
-func makePlacements(p *Program, global relation.Store, fragLen func(pred string, wi int) int) map[string]hashpart.Placement {
-	placements := make(map[string]hashpart.Placement, len(p.EDB))
-	for pred := range p.EDB {
-		pl := hashpart.Placement{Pred: pred, Partitioned: true, TuplesPerProc: make([]int, p.Procs.Len())}
-		for wi := range pl.TuplesPerProc {
-			pl.TuplesPerProc[wi] = fragLen(pred, wi)
-		}
-		// Partitioned iff the total equals at most the relation size.
-		total := 0
-		for _, c := range pl.TuplesPerProc {
-			total += c
-		}
-		pl.Partitioned = total <= global[pred].Len()
-		placements[pred] = pl
-	}
-	return placements
 }
 
 // fragmentFor materializes the union of EDB subsets worker wi needs of pred.

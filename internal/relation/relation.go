@@ -317,15 +317,56 @@ func (r *Relation) AppendDisjoint(srcs ...*Relation) {
 	r.Grow(more)
 	for _, s := range srcs {
 		r.data = append(r.data, s.data[:s.n*s.arity]...)
-		for row := r.n; row < r.n+s.n; row++ {
-			i := r.hashRow(row) & r.mask
-			for r.table[i] != 0 {
-				i = (i + 1) & r.mask
-			}
-			r.table[i] = int32(row + 1)
-		}
-		r.n += s.n
+		r.hashAppended(s.n)
 	}
+}
+
+// AppendDisjointVals appends k rows whose values fill writes straight into
+// the arena: fill gets the k·arity values to set. The caller guarantees, as
+// for AppendDisjoint, that the rows are pairwise distinct and not yet in r,
+// so each row's hash only finds it an empty slot. When fill fails, r is
+// left as it was and the error is returned. The caller bounds k: the arena
+// and the dedup table grow to hold it. Plain set mode only;
+// AppendDisjointVals panics on a counted relation.
+func (r *Relation) AppendDisjointVals(k int, fill func(vals []ast.Value) error) error {
+	if r.counts != nil {
+		panic("relation: AppendDisjointVals on a counted relation")
+	}
+	r.Grow(k)
+	base := len(r.data)
+	r.data = r.data[:base+k*r.arity]
+	if err := fill(r.data[base:]); err != nil {
+		r.data = r.data[:base]
+		return err
+	}
+	r.hashAppended(k)
+	return nil
+}
+
+// hashAppended enters the k rows appended to the arena after row r.n into
+// the dedup table, each in the first empty slot its hash finds. The table
+// must already have room for them (Grow).
+func (r *Relation) hashAppended(k int) {
+	for row := r.n; row < r.n+k; row++ {
+		i := r.hashRow(row) & r.mask
+		for r.table[i] != 0 {
+			i = (i + 1) & r.mask
+		}
+		r.table[i] = int32(row + 1)
+	}
+	r.n += k
+}
+
+// Flat returns the rows as one batch over the arena, without copying: the
+// batch shares the relation's storage, so callers must not modify it. Rows
+// inserted later are not part of it. Plain set mode only; Flat panics on a
+// counted relation, whose arena also holds dead rows.
+func (r *Relation) Flat() Batch {
+	if r.counts != nil {
+		panic("relation: Flat on a counted relation")
+	}
+	end := r.n * r.arity
+	return Batch{Arity: r.arity, N: r.n, Vals: r.data[:end:end]}
 }
 
 // Contains reports membership; in counted mode, membership of the live set.

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -327,29 +328,59 @@ func TestRowAndString(t *testing.T) {
 	}
 }
 
-// TestAppendDisjoint: appending disjoint relations gives the relation that
-// inserting their rows one by one gives, and the result still dedups.
+// TestAppendDisjoint: appending disjoint relations, whole or as values
+// written straight into the arena, gives the relation that inserting their
+// rows one by one gives, and the result still dedups. A failed fill leaves
+// the relation as it was.
 func TestAppendDisjoint(t *testing.T) {
-	parts := []*Relation{New(2), New(2), New(2)}
-	want := New(2)
-	var rows []Tuple
-	for i := 0; i < 300; i++ {
-		row := Tuple{ast.Value(i % 17), ast.Value(i / 17)}
-		rows = append(rows, row)
-		parts[i%3].Insert(row)
-		want.Insert(row)
+	appenders := map[string]func(dst *Relation, srcs []*Relation){
+		"relations": func(dst *Relation, srcs []*Relation) { dst.AppendDisjoint(srcs...) },
+		"values": func(dst *Relation, srcs []*Relation) {
+			for _, s := range srcs {
+				b := s.Flat()
+				if err := dst.AppendDisjointVals(b.N, func(vals []ast.Value) error {
+					copy(vals, b.Vals)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		},
 	}
-	dst := parts[0]
-	dst.AppendDisjoint(parts[1:]...)
-	if dst.Len() != want.Len() || !dst.Equal(want) || !want.Equal(dst) {
-		t.Fatalf("appended relation has %d rows, want %d", dst.Len(), want.Len())
-	}
-	for _, row := range rows {
-		if dst.Insert(row) {
-			t.Fatalf("%v inserted again after AppendDisjoint", row)
+	for name, appendAll := range appenders {
+		parts := []*Relation{New(2), New(2), New(2)}
+		want := New(2)
+		var rows []Tuple
+		for i := 0; i < 300; i++ {
+			row := Tuple{ast.Value(i % 17), ast.Value(i / 17)}
+			rows = append(rows, row)
+			parts[i%3].Insert(row)
+			want.Insert(row)
+		}
+		dst := parts[0]
+		appendAll(dst, parts[1:])
+		if dst.Len() != want.Len() || !dst.Equal(want) || !want.Equal(dst) {
+			t.Fatalf("%s: appended relation has %d rows, want %d", name, dst.Len(), want.Len())
+		}
+		for _, row := range rows {
+			if dst.Insert(row) {
+				t.Fatalf("%s: %v inserted again after the append", name, row)
+			}
+		}
+		if dst.Insert(Tuple{99, 99}) != true || dst.Len() != want.Len()+1 {
+			t.Errorf("%s: a new tuple was not inserted after the append", name)
 		}
 	}
-	if dst.Insert(Tuple{99, 99}) != true || dst.Len() != want.Len()+1 {
-		t.Error("a new tuple was not inserted after AppendDisjoint")
+
+	r := FromTuples(2, [][]ast.Value{{1, 2}})
+	bad := errors.New("bad fill")
+	if err := r.AppendDisjointVals(3, func(vals []ast.Value) error {
+		vals[0] = 7
+		return bad
+	}); err != bad {
+		t.Fatalf("failed fill returned %v", err)
+	}
+	if r.Len() != 1 || r.Flat().N != 1 || len(r.Flat().Vals) != 2 || r.Contains(Tuple{7, 0}) || !r.Contains(Tuple{1, 2}) {
+		t.Errorf("a failed fill changed the relation: %v", r)
 	}
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"parlog/internal/relation"
@@ -17,7 +19,37 @@ func seedBatches() [][]byte {
 		AppendBatch(nil, rows),
 		AppendBatch(nil, wide),
 		AppendFlat(nil, relation.Batch{N: 1}),
+		// A header claiming far more tuples than the payload holds.
+		append([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x02}, AppendBatch(nil, rows)...),
 	}
+}
+
+// decodeIntoBounded runs DecodeInto on raw over a relation of the given
+// arity already holding one row and fails t unless the decode either
+// appends exactly the batch's tuples or errors leaving the relation as it
+// was, and unless it allocated no more than the payload can hold: a
+// header's count is bounded by the payload before the relation grows.
+func decodeIntoBounded(t *testing.T, raw []byte, arity int) *relation.Relation {
+	t.Helper()
+	rel := relation.New(arity)
+	rel.Insert(make(relation.Tuple, arity))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := DecodeInto(raw, rel)
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64*uint64(len(raw))+1<<16 {
+		t.Fatalf("DecodeInto of %d bytes allocated %d bytes", len(raw), grown)
+	}
+	if err != nil {
+		if n != 0 || rel.Len() != 1 || rel.Flat().N != 1 {
+			t.Fatalf("DecodeInto failed (%v) but appended: n %d, %d rows", err, n, rel.Len())
+		}
+		return nil
+	}
+	if n != BatchCount(raw) || rel.Flat().N != 1+n {
+		t.Fatalf("DecodeInto appended %d tuples (relation %d rows), BatchCount %d", n, rel.Flat().N, BatchCount(raw))
+	}
+	return rel
 }
 
 func seedSnapshots() [][]byte {
@@ -63,6 +95,23 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("round-trip: %d rows, err %v", len(again), err)
 			}
 		}
+		// Decoding into a relation agrees with DecodeBatch: it fails on
+		// the same inputs (or on an arity the relation does not have),
+		// and appends the same values after the row already there.
+		for _, arity := range []int{2, 3} {
+			rel := decodeIntoBounded(t, raw, arity)
+			if err != nil && rel != nil {
+				t.Fatalf("DecodeInto accepted what DecodeBatch rejected (%v)", err)
+			}
+			if rel != nil && len(rows) > 0 {
+				got := rel.Flat()
+				for i, row := range rows {
+					if !got.Row(i + 1).Equal(row) {
+						t.Fatalf("DecodeInto row %d = %v, DecodeBatch %v", i, got.Row(i+1), row)
+					}
+				}
+			}
+		}
 	})
 }
 
@@ -78,6 +127,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		tuples := 0
 		err := DecodeSnapshot(raw, func(pred string, b relation.Batch) error {
 			tuples += b.N
+			// The output hop decodes the same batches straight into
+			// relations: both decoders must read them alike.
+			if rel := decodeIntoBounded(t, AppendFlat(nil, b), b.Arity); rel == nil || rel.Flat().N != 1+b.N {
+				t.Fatalf("DecodeInto rejected a batch of %s that DecodeSnapshot delivered", pred)
+			} else if got := rel.Flat(); b.N > 0 && !slices.Equal(got.Vals[b.Arity:], b.Vals) {
+				t.Fatalf("DecodeInto read %s as %v, DecodeSnapshot %v", pred, got.Vals[b.Arity:], b.Vals)
+			}
 			return nil
 		})
 		if err != nil {

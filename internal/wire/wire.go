@@ -31,6 +31,9 @@ const (
 	MaxBatchHeaderBytes = 10
 )
 
+// maxNullaryBatch caps the count of a batch of zero-arity tuples.
+const maxNullaryBatch = 1 << 10
+
 // AppendFlat appends the batch encoding of b to dst and returns the
 // extended slice. An empty batch encodes as count 0, arity 0; a batch of
 // zero-arity tuples is its count alone.
@@ -67,20 +70,73 @@ func appendValues(dst []byte, vals []ast.Value) []byte {
 
 // DecodeFlat decodes one batch into a single pointer-free value slice.
 func DecodeFlat(raw []byte) (relation.Batch, error) {
+	b, _, err := decodeBatch(raw)
+	return b, err
+}
+
+// decodeBatch decodes the batch at the head of raw, reading each value
+// once, and returns the bytes after it.
+func decodeBatch(raw []byte) (relation.Batch, []byte, error) {
 	count, arity, rest, err := batchHeader(raw)
 	if err != nil || count == 0 {
-		return relation.Batch{}, err
+		return relation.Batch{}, rest, err
 	}
 	flat := make([]ast.Value, count*arity)
-	for i := range flat {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return relation.Batch{}, fmt.Errorf("wire: truncated batch at value %d/%d", i, len(flat))
-		}
-		flat[i] = ast.Value(uint32(v))
-		rest = rest[n:]
+	if rest, err = decodeValues(rest, flat); err != nil {
+		return relation.Batch{}, nil, err
 	}
-	return relation.Batch{Arity: arity, N: count, Vals: flat}, nil
+	return relation.Batch{Arity: arity, N: count, Vals: flat}, rest, nil
+}
+
+// DecodeInto decodes one batch and appends its tuples to dst with no dedup
+// probe: the caller guarantees they are distinct and not yet in dst, as for
+// relation.AppendDisjointVals. The values are decoded once, straight into
+// dst's arena, and the header's tuple count is bounded before dst grows (by
+// the payload's length, or for zero-arity tuples by a small constant), so a
+// hostile header cannot force a large allocation. It returns the number of
+// tuples appended; on error dst is left as it was.
+func DecodeInto(raw []byte, dst *relation.Relation) (int, error) {
+	count, arity, rest, err := batchHeader(raw)
+	if err != nil || count == 0 {
+		return 0, err
+	}
+	if arity != dst.Arity() {
+		return 0, fmt.Errorf("wire: arity-%d batch for an arity-%d relation", arity, dst.Arity())
+	}
+	err = dst.AppendDisjointVals(count, func(vals []ast.Value) error {
+		_, err := decodeValues(rest, vals)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return count, nil
+}
+
+// decodeValues fills dst with the values at the head of raw and returns the
+// bytes after them. Interned constants are small, so the one- and two-byte
+// varints are decoded inline.
+func decodeValues(raw []byte, dst []ast.Value) ([]byte, error) {
+	for i := range dst {
+		if len(raw) >= 2 {
+			if b0 := raw[0]; b0 < 0x80 {
+				dst[i] = ast.Value(b0)
+				raw = raw[1:]
+				continue
+			} else if b1 := raw[1]; b1 < 0x80 {
+				dst[i] = ast.Value(uint32(b0&0x7f) | uint32(b1)<<7)
+				raw = raw[2:]
+				continue
+			}
+		}
+		v, n := binary.Uvarint(raw)
+		if n <= 0 {
+			return nil, fmt.Errorf("wire: truncated batch at value %d/%d", i, len(dst))
+		}
+		dst[i] = ast.Value(uint32(v))
+		raw = raw[n:]
+	}
+	return raw, nil
 }
 
 // DecodeBatch is DecodeFlat returning tuple headers into the one value
@@ -115,9 +171,12 @@ func batchHeader(raw []byte) (count, arity int, rest []byte, err error) {
 	if m <= 0 {
 		return 0, 0, nil, fmt.Errorf("wire: truncated batch arity")
 	}
-	// Every value takes at least one byte, and a zero-arity batch may claim
-	// no more tuples than its header has bytes.
-	if per := max(a, 1); c > 0 && (c*per/per != c || c*per > uint64(len(raw))) {
+	// Every value takes at least one byte. A batch of zero-arity tuples has
+	// no values to bound its count by: there is only one such tuple, so a
+	// sender's batch holds one. A constant cap bounds the per-tuple work a
+	// forged count could cause; unlike a cap tied to the payload's length,
+	// it also admits every decoded batch again once re-encoded.
+	if a == 0 && c > maxNullaryBatch || a > 0 && (c*a/a != c || c*a > uint64(len(raw))) {
 		return 0, 0, nil, fmt.Errorf("wire: batch header claims %d×%d values in %d bytes", c, a, len(raw))
 	}
 	return int(c), int(a), raw[n+m:], nil
@@ -160,18 +219,14 @@ func DecodeSnapshot(raw []byte, fn func(pred string, b relation.Batch) error) er
 		}
 		pred := string(raw[n : n+int(nameLen)])
 		raw = raw[n+int(nameLen):]
-		body, err := batchLen(raw)
-		if err != nil {
-			return err
-		}
-		b, err := DecodeFlat(raw[:body])
+		b, rest, err := decodeBatch(raw)
 		if err != nil {
 			return err
 		}
 		if err := fn(pred, b); err != nil {
 			return err
 		}
-		raw = raw[body:]
+		raw = rest
 	}
 	return nil
 }

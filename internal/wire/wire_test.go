@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parlog/internal/ast"
@@ -78,6 +79,10 @@ func TestFlatRoundTrip(t *testing.T) {
 		if bc := BatchCount(raw); bc != tc.count {
 			t.Errorf("%d×%d: BatchCount = %d", tc.count, tc.arity, bc)
 		}
+		rel := relation.New(tc.arity)
+		if n, err := DecodeInto(raw, rel); err != nil || n != tc.count || !slices.Equal(rel.Flat().Vals, got.Vals) {
+			t.Fatalf("%d×%d: DecodeInto appended %d tuples %v, err %v; DecodeFlat %v", tc.count, tc.arity, n, rel.Flat().Vals, err, got.Vals)
+		}
 	}
 	// A zero-arity header may not claim more tuples than it has bytes.
 	if _, err := DecodeFlat([]byte{0xff, 0xff, 0x03, 0x00}); err == nil {
@@ -115,6 +120,13 @@ func TestBatchHeaderLiesRejected(t *testing.T) {
 	forged := append([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, raw...)
 	if _, err := DecodeBatch(forged); err == nil {
 		t.Fatal("forged batch count accepted")
+	}
+	rel := relation.New(2)
+	if _, err := DecodeInto(forged, rel); err == nil || rel.Len() != 0 {
+		t.Fatalf("DecodeInto of a forged batch count: err %v, %d rows", err, rel.Len())
+	}
+	if _, err := DecodeInto(raw, relation.New(3)); err == nil {
+		t.Error("DecodeInto accepted an arity-2 batch for an arity-3 relation")
 	}
 }
 

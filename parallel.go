@@ -351,14 +351,10 @@ func evalDistributed(ctx context.Context, p *Program, edb Store, opts EvalOption
 	if err != nil {
 		return nil, err
 	}
-	global, err := parallel.PrepareEDB(prog, edb)
-	if err != nil {
-		return nil, err
-	}
 	stats := &parallel.Stats{
 		Procs:      res.Stats,
 		Edges:      parallel.EdgesOf(res.Stats, prog.Procs.IDs()),
-		Placements: parallel.Placements(prog, global),
+		Placements: res.Placements,
 		Wall:       res.Wall,
 	}
 	return &Result{Output: res.Output, Stats: stats, Profile: res.Profile}, nil

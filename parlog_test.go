@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -369,6 +370,9 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 			t.Errorf("edge %v: parallel carried %d tuples, dist %v", e, es.Tuples, d)
 		}
 	}
+	if !reflect.DeepEqual(par.Stats.Placements, dist.Stats.Placements) {
+		t.Errorf("placements differ: parallel %v, dist %v", par.Stats.Placements, dist.Stats.Placements)
+	}
 }
 
 func TestSnapshotQuery(t *testing.T) {
@@ -407,11 +411,10 @@ func TestSnapshotQuery(t *testing.T) {
 	if got := ask("anc(nobody, X)"); len(got) != 0 {
 		t.Errorf("unknown constant matched %d", len(got))
 	}
-	// A predicate the program never mentions has no answers either.
-	if got := ask("nosuch(X)"); len(got) != 0 {
-		t.Errorf("unknown predicate matched %d", len(got))
-	}
 	// Errors.
+	if _, err := snap.Query(ctx, "nosuch(X)"); !errors.Is(err, ErrUnknownPredicate) {
+		t.Errorf("a predicate the program never mentions: err %v, want ErrUnknownPredicate", err)
+	}
 	if _, err := snap.Query(ctx, "anc(a"); err == nil {
 		t.Error("malformed query accepted")
 	}

@@ -279,14 +279,28 @@ func (p *Program) parseGoal(goal string) (ast.Atom, error) {
 		return ast.Atom{}, fmt.Errorf("parlog: goal must be a single positive atom, got %q", goal)
 	}
 	atom := rule.Body[0]
+	if err := p.checkGoalPred(atom); err != nil {
+		return ast.Atom{}, err
+	}
 	for i, term := range atom.Args {
 		if term.IsVar() {
 			continue
 		}
 		atom.Args[i] = ast.C(p.ast.Interner.Intern(tmp.Interner.Name(term.Value)))
 	}
-	if ar, ok := p.ast.Arities()[atom.Pred]; ok && ar != atom.Arity() {
-		return ast.Atom{}, fmt.Errorf("parlog: %s has arity %d, goal uses %d", atom.Pred, ar, atom.Arity())
-	}
 	return atom, nil
+}
+
+// checkGoalPred rejects a goal atom whose predicate the program never
+// mentions (an error wrapping ErrUnknownPredicate) or uses at another
+// arity.
+func (p *Program) checkGoalPred(atom ast.Atom) error {
+	ar, ok := p.ast.Arities()[atom.Pred]
+	if !ok {
+		return fmt.Errorf("parlog: goal %s: %w", atom.Pred, ErrUnknownPredicate)
+	}
+	if ar != atom.Arity() {
+		return fmt.Errorf("parlog: %s has arity %d, goal uses %d", atom.Pred, ar, atom.Arity())
+	}
+	return nil
 }
