@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"parlog/internal/relation"
+	"parlog/internal/seminaive"
 	"parlog/internal/workload"
 )
 
@@ -92,6 +94,26 @@ func TestQueryDemandAllocs(t *testing.T) {
 	t.Logf("demand query: %.0f allocs/op, %d answers", a, answers)
 	if b := allocBound(413); a > b { // measured: 413
 		t.Errorf("demand Query: %.0f allocs/op, bound %.1f", a, b)
+	}
+}
+
+// TestEvalAllocs guards the sequential fixpoint: seminaive.Eval of the
+// ancestor program (Example 3's source) over random(300,900): 238,301
+// firings in 13 iterations. Its allocations are the store's arenas and
+// tables and a few per pass and per plan; one per firing would add
+// hundreds of thousands.
+func TestEvalAllocs(t *testing.T) {
+	skipUnderRace(t)
+	prog := workload.AncestorProgram()
+	edb := relation.Store{"par": workload.RandomGraph(300, 900, 1)}
+	a := testing.AllocsPerRun(5, func() {
+		if _, _, err := seminaive.Eval(prog, edb, seminaive.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Eval: %.0f allocs/op", a)
+	if b := allocBound(1086); a > b { // measured: 1086
+		t.Errorf("Eval: %.0f allocs/op, bound %.1f", a, b)
 	}
 }
 
