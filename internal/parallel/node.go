@@ -42,20 +42,23 @@ type Node struct {
 	wi     int // dense index
 	procID int
 
-	// rules is this worker's compiled rule set — the program's shared
-	// plans, or armed copies of them after EnableProfile.
-	rules []compiledRule
-
 	store relation.Store // EDB fragments + @in relations, read by the plans
 	preds []predSlot     // one per derived predicate, in Program.preds order
-	wm    *seminaive.Watermarks
 
+	// fix is the node's local semi-naive loop over the program's rules for
+	// this processor (their shared plans, or armed copies after
+	// EnableProfile), watching the @in relations; its counters are the
+	// node's Firings, Generated, DupFirings and Iterations.
+	fix *seminaive.Fixpoint
+	// emit is the transport's send function for the current Init or Drain;
+	// the loop flushes into it after every pass.
+	emit EmitFunc
+
+	// stats holds the transport-side counters.
 	stats ProcStats
 
-	// profile arms per-rule runtime counters; ruleProfs[i] accounts
-	// n.rules[i].
-	profile   bool
-	ruleProfs []*seminaive.RuleProfile
+	// profile arms per-rule runtime counters.
+	profile bool
 
 	// sink receives this node's events; nil disables observability.
 	sink obs.EventSink
@@ -70,10 +73,6 @@ type Node struct {
 	// send, over a channel the topology lacks: their home never received
 	// them, so Pool cannot concatenate.
 	suppressed int64
-
-	// scratch holds the head tuple being probed, avoiding an allocation per
-	// firing.
-	scratch relation.Tuple
 
 	// routeVals and destScratch are route's reusable buffers; destScratch
 	// has room for every peer, so route never reallocates it.
@@ -181,12 +180,11 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 		prog:   p,
 		wi:     wi,
 		procID: procID,
-		rules:  p.rules[wi],
 		store:  relation.Store{},
 		preds:  make([]predSlot, len(p.preds)),
-		wm:     &seminaive.Watermarks{Prev: map[string]int{}, Cur: map[string]int{}},
 		batch:  make([][]relation.Batch, p.Procs.Len()),
 	}
+	n.fix = &seminaive.Fixpoint{Store: n.store, Proc: procID, AfterPass: func() { n.flush(n.emit) }}
 	n.stats.Proc = procID
 	n.stats.Sent = make([]EdgeStats, p.Procs.Len())
 	for pred := range p.EDB {
@@ -194,18 +192,14 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 		n.store[pred] = frag
 		n.stats.EDBTuples += frag.Len()
 	}
-	maxAr, maxSeq := 0, 0
+	maxSeq := 0
 	for si, pred := range p.preds {
 		ar := p.IDB[pred]
 		s := &n.preds[si]
 		s.name, s.inKey = pred, pred+inSuffix
 		s.in, s.out = relation.New(ar), relation.New(ar)
 		n.store[s.inKey] = s.in
-		n.wm.Prev[s.inKey] = 0
-		n.wm.Cur[s.inKey] = 0
-		if ar > maxAr {
-			maxAr = ar
-		}
+		n.fix.Watch(s.inKey, 0)
 		for _, rt := range p.routers[pred] {
 			nr := compileRouter(rt, procID)
 			s.routers = append(s.routers, nr)
@@ -227,7 +221,12 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 			n.batch[d][si].Arity = p.IDB[pred]
 		}
 	}
-	n.scratch = make(relation.Tuple, maxAr)
+	for _, cr := range p.rules[wi] {
+		n.fix.Rules = append(n.fix.Rules, seminaive.FixRule{
+			Head: cr.head, Plans: cr.plans, Init: cr.init,
+			Absorb: func(t relation.Tuple) bool { return n.emitTuple(cr.slot, cr.home, t) },
+		})
+	}
 	n.routeVals = make([]ast.Value, maxSeq)
 	n.destScratch = make([]int, 0, p.Procs.Len())
 	return n
@@ -240,21 +239,15 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 // one source rule merge.
 func (n *Node) EnableProfile() {
 	n.profile = true
-	n.ruleProfs = make([]*seminaive.RuleProfile, len(n.rules))
-	rules := make([]compiledRule, len(n.rules))
-	for i, cr := range n.rules {
-		nr := cr
-		nr.plans = make([]*seminaive.Plan, len(cr.plans))
-		for j, pl := range cr.plans {
-			nr.plans[j] = pl.WithProfile()
+	for i := range n.fix.Rules {
+		r := &n.fix.Rules[i]
+		plans := make([]*seminaive.Plan, len(r.Plans))
+		for j, pl := range r.Plans {
+			plans[j] = pl.WithProfile()
 		}
-		rules[i] = nr
-		n.ruleProfs[i] = &seminaive.RuleProfile{
-			Key:  seminaive.ProfileKey(n.prog.src, cr.plans[0].Rule),
-			Pred: cr.head,
-		}
+		r.Profile = &seminaive.RuleProfile{Key: seminaive.ProfileKey(n.prog.src, r.Plans[0].Rule), Pred: r.Head}
+		r.Plans = plans
 	}
-	n.rules = rules
 }
 
 // Profile folds the armed plan counters into the per-rule records and returns
@@ -264,12 +257,10 @@ func (n *Node) Profile() []*seminaive.RuleProfile {
 	if !n.profile {
 		return nil
 	}
-	out := make([]*seminaive.RuleProfile, len(n.ruleProfs))
-	for i := range n.rules {
-		rp := n.ruleProfs[i]
-		for _, pl := range n.rules[i].plans {
-			pl.ProfileInto(rp)
-		}
+	n.fix.FoldProfiles()
+	out := make([]*seminaive.RuleProfile, len(n.fix.Rules))
+	for i, r := range n.fix.Rules {
+		rp := r.Profile
 		rp.Procs = []seminaive.ProcProfile{{
 			Proc:    n.procID,
 			Firings: rp.Firings,
@@ -289,7 +280,10 @@ func (n *Node) Proc() int { return n.procID }
 
 // SetSink attaches an event sink; transports call it before Init. A nil
 // sink (the default) disables observability.
-func (n *Node) SetSink(s obs.EventSink) { n.sink = s }
+func (n *Node) SetSink(s obs.EventSink) {
+	n.sink = s
+	n.fix.Sink = s
+}
 
 // Sink returns the attached event sink, nil when disabled.
 func (n *Node) Sink() obs.EventSink { return n.sink }
@@ -308,7 +302,8 @@ func (n *Node) PeerProc(wi int) int {
 // step), then drains: the complete first unit of work. The sink sees the
 // initialization pass as iteration 0.
 func (n *Node) Init(emit EmitFunc) {
-	n.pass(0, true, nil, emit)
+	n.emit = emit
+	n.fix.Init()
 	n.Drain(emit)
 }
 
@@ -343,86 +338,19 @@ func (n *Node) Accept(from int, pred string, b relation.Batch) {
 // flushing outgoing batches after each iteration (the paper's per-iteration
 // send step).
 func (n *Node) Drain(emit EmitFunc) {
-	for {
-		grew := false
-		for si := range n.preds {
-			s := &n.preds[si]
-			cur := n.wm.Cur[s.inKey]
-			if s.in.Len() > cur {
-				grew = true
-			}
-			n.wm.Prev[s.inKey] = cur
-			n.wm.Cur[s.inKey] = s.in.Len()
-		}
-		if !grew {
-			return
-		}
-		n.stats.Iterations++
-		n.pass(int(n.stats.Iterations), false, n.wm, emit)
-	}
-}
-
-// pass fires one local iteration — the initialization rules when init is
-// set, the recursive rules' delta variants under wm otherwise — then
-// flushes the iteration's outgoing batches.
-func (n *Node) pass(iter int, init bool, wm *seminaive.Watermarks, emit EmitFunc) {
-	if n.sink != nil {
-		n.sink.IterationStart(n.procID, iter)
-	}
-	genBefore := n.stats.Generated
-	for ri := range n.rules {
-		cr := &n.rules[ri]
-		if cr.init != init {
-			continue
-		}
-		fBefore, dupBefore := n.stats.Firings, n.stats.DupFirings
-		var t0 time.Time
-		if n.profile {
-			t0 = time.Now()
-		}
-		buf := n.scratch[:cr.arity]
-		for _, plan := range cr.plans {
-			n.stats.Firings += plan.Enumerate(n.store, wm, func(vals []ast.Value) bool {
-				n.emitTuple(cr.slot, cr.home, plan.HeadTupleInto(buf, vals))
-				return true
-			})
-		}
-		if n.profile {
-			n.recordRule(ri, fBefore, dupBefore, t0)
-		}
-		if n.sink != nil {
-			n.sink.RuleFirings(n.procID, cr.head, n.stats.Firings-fBefore, n.stats.DupFirings-dupBefore)
-		}
-	}
-	if n.sink != nil {
-		n.sink.IterationEnd(n.procID, iter, int(n.stats.Generated-genBefore))
-	}
-	n.flush(emit)
-}
-
-// recordRule accumulates one rule pass into its profile record. A firing that
-// survived local dedup is a New tuple at this site, so New = firings − local
-// rederivations.
-func (n *Node) recordRule(ri int, fBefore, dupBefore int64, t0 time.Time) {
-	rp := n.ruleProfs[ri]
-	f := n.stats.Firings - fBefore
-	d := n.stats.DupFirings - dupBefore
-	rp.Firings += f
-	rp.Dup += d
-	rp.New += f - d
-	rp.Iterations++
-	rp.WallNs += time.Since(t0).Nanoseconds()
+	n.emit = emit
+	n.fix.Drain() // no iteration bound or context: it cannot fail
 }
 
 // emitTuple handles one freshly derived head tuple of slot si: route it,
-// dedup it once, and queue a first generation for its remote destinations.
-// A tuple routed to this node itself dedups against @in, where the origin
-// bit tells a rederivation (DupFirings) from a tuple only received so far
-// (a first generation here, still owed to its other destinations). A tuple
-// bound only elsewhere dedups against out. home (the rule's heads are
-// proven to route here alone) skips routing. t may be a scratch buffer:
-// the batches copy its values.
-func (n *Node) emitTuple(si int, home bool, t relation.Tuple) {
+// dedup it once, and queue a first generation for its remote destinations,
+// reporting whether it was one. A tuple routed to this node itself dedups
+// against @in, where the origin bit tells a rederivation (DupFirings) from
+// a tuple only received so far (a first generation here, still owed to
+// its other destinations). A tuple bound only elsewhere dedups against
+// out. home (the rule's heads are proven to route here alone) skips
+// routing. t may be a scratch buffer: the batches copy its values.
+func (n *Node) emitTuple(si int, home bool, t relation.Tuple) bool {
 	s := &n.preds[si]
 	var dests []int
 	self := home || s.selfOnly
@@ -441,19 +369,16 @@ func (n *Node) emitTuple(si int, home bool, t relation.Tuple) {
 		}
 	}
 	if self {
-		row, _ := s.in.InsertRow(t)
-		if s.markMine(row) {
-			n.stats.DupFirings++
-			return
+		if row, _ := s.in.InsertRow(t); s.markMine(row) {
+			return false
 		}
 	} else if _, fresh := s.out.InsertRow(t); !fresh {
-		n.stats.DupFirings++
-		return
+		return false
 	}
-	n.stats.Generated++
 	for _, wi := range dests {
 		n.batch[wi][si].Append(t)
 	}
+	return true
 }
 
 // home returns the dense index of the one processor the point-to-point
@@ -550,6 +475,9 @@ func (n *Node) flush(emit EmitFunc) {
 // fields included).
 func (n *Node) Stats() ProcStats {
 	st := n.stats
+	st.Firings, st.Generated = n.fix.Totals()
+	st.DupFirings = st.Firings - st.Generated
+	st.Iterations = int64(n.fix.Iterations)
 	st.Sent = append([]EdgeStats(nil), n.stats.Sent...)
 	return st
 }

@@ -54,8 +54,7 @@ type compiledRule struct {
 	// rules without derived body atoms — those run once at initialization).
 	plans []*seminaive.Plan
 	head  string
-	slot  int // head's index into Program.preds (a node's per-predicate slots)
-	arity int
+	slot  int  // head's index into Program.preds (a node's per-predicate slots)
 	init  bool // no derived body atoms: fires once at start
 	// home marks a rule whose every head tuple routes to the processor
 	// that derived it, and nowhere else (see routesHome): its firings skip
@@ -265,7 +264,7 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 				wr = wr.WithConstraints(ast.NewHashConstraint(h, spec.seq, procID))
 			}
 			cr := compiledRule{
-				head: r.Head.Pred, slot: slots[r.Head.Pred], arity: r.Head.Arity(),
+				head: r.Head.Pred, slot: slots[r.Head.Pred],
 				home: spec.routerH && routesHome(r.Head, spec.seq, p.routers[r.Head.Pred]),
 			}
 			if len(recAtoms) == 0 {

@@ -73,16 +73,6 @@ type Stats struct {
 
 func newStats() *Stats { return &Stats{FiringsByPred: make(map[string]int64)} }
 
-// add merges other into s.
-func (s *Stats) add(other *Stats) {
-	s.Iterations += other.Iterations
-	s.Firings += other.Firings
-	s.New += other.New
-	for k, v := range other.FiringsByPred {
-		s.FiringsByPred[k] += v
-	}
-}
-
 // Eval computes the least model of prog over the given EDB and returns the
 // complete store (input relations plus all derived relations). The input
 // store is not modified. Facts embedded in prog are added to the store
@@ -147,45 +137,13 @@ func Eval(prog *ast.Program, edb relation.Store, opts Options) (relation.Store, 
 		return store, stats, nil
 	}
 
-	g := analysis.Dependencies(prog)
-	comp := make(map[string]int)
-	sccs := g.SCCs()
-	for i, scc := range sccs {
-		for _, p := range scc {
-			comp[p] = i
-		}
-	}
-	for i, scc := range sccs {
-		inSCC := make(map[string]bool, len(scc))
-		for _, p := range scc {
-			inSCC[p] = true
-		}
-		var nonRec, rec []ast.Rule
-		for _, r := range rules {
-			if comp[r.Head.Pred] != i {
-				continue
-			}
-			recursive := false
-			for _, a := range r.Body {
-				if inSCC[a.Pred] {
-					recursive = true
-					break
-				}
-			}
-			if recursive {
-				rec = append(rec, r)
-			} else {
-				nonRec = append(nonRec, r)
-			}
-		}
-		if len(nonRec) == 0 && len(rec) == 0 {
+	for _, c := range components(prog, rules) {
+		if len(c.rules) == 0 {
 			continue
 		}
-		s, err := evalSCC(prog, nonRec, rec, inSCC, store, opts, stats.Profile)
-		if err != nil {
+		if err := evalComponent(prog, c, store, opts, stats); err != nil {
 			return nil, nil, err
 		}
-		stats.add(s)
 	}
 	if stats.Profile != nil {
 		stats.Profile.WallNs = time.Since(evalStart).Nanoseconds()
@@ -193,180 +151,33 @@ func Eval(prog *ast.Program, edb relation.Store, opts Options) (relation.Store, 
 	return store, stats, nil
 }
 
-// evalSCC runs the semi-naive loop for one strongly connected component.
-// prof, when non-nil, is the evaluation-wide profile the SCC's rule
-// counters fold into.
-func evalSCC(prog *ast.Program, nonRec, rec []ast.Rule, inSCC map[string]bool, store relation.Store, opts Options, prof *Profile) (*Stats, error) {
-	stats := newStats()
-
-	// One-shot rules: their bodies read only completed components, so a
-	// single pass suffices. The sink sees this as iteration 0.
-	if len(nonRec) > 0 && opts.Sink != nil {
-		opts.Sink.IterationStart(0, 0)
-	}
-	newBeforeInit := stats.New
-	for _, r := range nonRec {
-		plan := opts.observePlan(Compile(r, nil), store)
-		head := r.Head.Pred
-		rel := store.Get(head, r.Head.Arity())
-		newBefore := stats.New
-		var rp *RuleProfile
-		var t0 time.Time
-		if prof != nil {
-			rp = prof.Rule(ProfileKey(prog, r), head)
-			plan.EnableProfile()
-			t0 = time.Now()
-		}
-		n := plan.Enumerate(store, nil, func(vals []ast.Value) bool {
-			if rel.Insert(plan.HeadTuple(vals)) {
-				stats.New++
+// evalComponent runs one component's fixpoint, inserting into store. Each
+// rule's plans are observed just before their first pass, so the planned
+// sizes of recursive rules include the component's initial tuples.
+func evalComponent(prog *ast.Program, c component, store relation.Store, opts Options, stats *Stats) error {
+	f := c.fixpoint(store, opts, func(head string) func(relation.Tuple) bool { return store[head].Insert })
+	f.Sink = opts.Sink
+	observe := func(rules []FixRule) {
+		for i := range rules {
+			r := &rules[i]
+			if stats.Profile != nil {
+				r.Profile = stats.Profile.Rule(ProfileKey(prog, r.Plans[0].Rule), r.Head)
 			}
-			return true
-		})
-		stats.Firings += n
-		stats.FiringsByPred[head] += n
-		if rp != nil {
-			fresh := stats.New - newBefore
-			rp.Firings += n
-			rp.New += fresh
-			rp.Dup += n - fresh
-			rp.Iterations++
-			rp.WallNs += time.Since(t0).Nanoseconds()
-			plan.ProfileInto(rp)
-		}
-		if opts.Sink != nil {
-			opts.Sink.RuleFirings(0, head, n, n-(stats.New-newBefore))
-		}
-	}
-	if len(nonRec) > 0 && opts.Sink != nil {
-		opts.Sink.IterationEnd(0, 0, int(stats.New-newBeforeInit))
-	}
-	if len(rec) == 0 {
-		return stats, nil
-	}
-
-	// Compile the exact delta decomposition of every recursive rule.
-	type compiled struct {
-		plans []*Plan
-		head  string
-		arity int
-		rp    *RuleProfile
-	}
-	var cs []compiled
-	for _, r := range rec {
-		var recAtoms []int
-		for j, a := range r.Body {
-			if inSCC[a.Pred] {
-				recAtoms = append(recAtoms, j)
-			}
-		}
-		plans := DeltaVariants(r, recAtoms)
-		for _, pl := range plans {
-			opts.observePlan(pl, store)
-		}
-		c := compiled{
-			plans: plans,
-			head:  r.Head.Pred,
-			arity: r.Head.Arity(),
-		}
-		if prof != nil {
-			c.rp = prof.Rule(ProfileKey(prog, r), c.head)
-			for _, pl := range plans {
-				pl.EnableProfile()
-			}
-		}
-		cs = append(cs, c)
-	}
-
-	// Watermarks: everything present now is the initial delta.
-	w := &Watermarks{Prev: map[string]int{}, Cur: map[string]int{}}
-	for p := range inSCC {
-		w.Prev[p] = 0
-		if rel, ok := store[p]; ok {
-			w.Cur[p] = rel.Len()
-		}
-	}
-
-	// Derived tuples are inserted straight into the arena as they are
-	// enumerated — no staging copies. This is sound because every plan's
-	// bounds come from w, whose Cur entries were taken at iteration start: a
-	// tuple inserted mid-iteration lands at a row id >= Cur and is invisible
-	// to every RangePrev/RangeDelta/RangeFull scan of this iteration,
-	// exactly as if it had been staged. Insert's return value replaces the
-	// old Contains+stagedSeen dedup: it is false for pre-existing and
-	// same-iteration duplicates alike.
-	scratch := make(relation.Tuple, 8)
-	for {
-		stats.Iterations++
-		if opts.MaxIterations > 0 && stats.Iterations > opts.MaxIterations {
-			return nil, fmt.Errorf("seminaive: exceeded %d iterations", opts.MaxIterations)
-		}
-		if err := opts.interrupted(); err != nil {
-			return nil, err
-		}
-		if opts.Sink != nil {
-			opts.Sink.IterationStart(0, stats.Iterations)
-		}
-		delta := 0
-		for _, c := range cs {
-			rel := store.Get(c.head, c.arity)
-			if cap(scratch) < c.arity {
-				scratch = make(relation.Tuple, c.arity)
-			}
-			buf := scratch[:c.arity]
-			var ruleFirings, fresh int64
-			var t0 time.Time
-			if c.rp != nil {
-				t0 = time.Now()
-			}
-			for _, plan := range c.plans {
-				n := plan.Enumerate(store, w, func(vals []ast.Value) bool {
-					if rel.Insert(plan.HeadTupleInto(buf, vals)) {
-						fresh++
-					}
-					return true
-				})
-				ruleFirings += n
-			}
-			if c.rp != nil {
-				c.rp.Firings += ruleFirings
-				c.rp.New += fresh
-				c.rp.Dup += ruleFirings - fresh
-				c.rp.Iterations++
-				c.rp.WallNs += time.Since(t0).Nanoseconds()
-			}
-			stats.Firings += ruleFirings
-			stats.FiringsByPred[c.head] += ruleFirings
-			stats.New += fresh
-			delta += int(fresh)
-			if opts.Sink != nil {
-				opts.Sink.RuleFirings(0, c.head, ruleFirings, ruleFirings-fresh)
-			}
-		}
-		if opts.Sink != nil {
-			opts.Sink.IterationEnd(0, stats.Iterations, delta)
-		}
-		if delta == 0 {
-			for _, c := range cs {
-				if c.rp == nil {
-					continue
-				}
-				for _, plan := range c.plans {
-					plan.ProfileInto(c.rp)
+			for _, p := range r.Plans {
+				opts.observePlan(p, store)
+				if r.Profile != nil {
+					p.EnableProfile()
 				}
 			}
-			return stats, nil
-		}
-		// Advance the watermarks: this iteration's inserts become the next
-		// delta. Cur was rel.Len() at iteration start, so the new window
-		// [Prev, Cur) covers exactly the fresh rows.
-		for p := range inSCC {
-			if rel, ok := store[p]; ok {
-				w.Prev[p] = w.Cur[p]
-				w.Cur[p] = rel.Len()
-			}
 		}
 	}
+	observe(f.Rules[:c.init])
+	f.Init()
+	observe(f.Rules[c.init:])
+	err := f.Drain()
+	f.FoldProfiles()
+	f.addTo(stats)
+	return err
 }
 
 // evalNaive iterates every rule over the full store until fixpoint.
