@@ -69,11 +69,15 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzEval checks that evaluation of any accepted program terminates within
-// the iteration bound without panicking.
+// the iteration bound without panicking, and that a program evaluated
+// within it has the model naive evaluation (the reference) computes and,
+// when incremental maintenance accepts the program, the model NewIVM
+// materializes, with its counting invariant intact.
 func FuzzEval(f *testing.F) {
 	f.Add("anc(X, Y) :- par(X, Y).\nanc(X, Y) :- par(X, Z), anc(Z, Y).\npar(a, b). par(b, a).")
 	f.Add("p(X) :- q(X), p2(X).\np2(X) :- q(X).\nq(a). q(b).")
 	f.Add("p(X, X) :- q(X).\nq(c).")
+	f.Add("r(X) :- e(X).\nu(X) :- e(X), !r(X).\ne(a).")
 	addCorpusSeeds(f)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
@@ -85,6 +89,44 @@ func FuzzEval(f *testing.F) {
 		}
 		// MaxIterations bounds runaway fixpoints; errors are acceptable,
 		// panics are not.
-		_, _, _ = seminaive.Eval(prog, relation.Store{}, seminaive.Options{MaxIterations: 60})
+		want, _, err := seminaive.Eval(prog, relation.Store{}, seminaive.Options{MaxIterations: 60})
+		if err != nil {
+			return
+		}
+		negation := false
+		for _, r := range prog.Rules {
+			negation = negation || len(r.Negated) > 0
+		}
+		if negation {
+			return // neither the naive reference nor NewIVM supports negation
+		}
+		naive, _, err := seminaive.Eval(prog, relation.Store{}, seminaive.Options{Naive: true})
+		if err != nil {
+			t.Fatalf("naive evaluation failed where semi-naive succeeded: %v\n%s", err, src)
+		}
+		sameModel(t, "naive", want, naive, src)
+		m, _, err := seminaive.NewIVM(prog, relation.Store{}, seminaive.Options{MaxIterations: 60})
+		if err != nil {
+			t.Fatalf("NewIVM rejected a negation-free program Eval accepted: %v\n%s", err, src)
+		}
+		sameModel(t, "NewIVM", want, m.SnapshotStore(), src)
+		if err := m.Audit(); err != nil {
+			t.Fatalf("%v\n%s", err, src)
+		}
 	})
+}
+
+// sameModel fails unless got holds every relation of want with the same
+// tuples.
+func sameModel(t *testing.T, engine string, want, got relation.Store, src string) {
+	t.Helper()
+	for pred, w := range want {
+		g, ok := got[pred]
+		if !ok && w.Len() == 0 {
+			continue
+		}
+		if !ok || !g.Equal(w) {
+			t.Fatalf("%s model differs on %s: want %v\n%s", engine, pred, w.SortedRows(), src)
+		}
+	}
 }
