@@ -17,11 +17,11 @@ var (
 
 	// ErrWorkerLost reports that a distributed run lost a worker it could
 	// not recover from — no survivor was left to adopt the dead worker's
-	// hash bucket, or the death landed after quiescence.
+	// hash bucket, or the death landed after the run's last superstep.
 	ErrWorkerLost = dist.ErrWorkerLost
 
 	// ErrTimeout reports that a distributed run exceeded its configured
-	// Timeout before reaching quiescence.
+	// Timeout before its last superstep.
 	ErrTimeout = dist.ErrTimeout
 
 	// ErrResourceExhausted reports that a distributed run stayed over its

@@ -29,23 +29,31 @@
 // (Config.MaxInflightBatches / MaxQueueBytes) bounds the data resident in
 // the coordinator's queues: each worker holds a byte/batch credit and
 // blocks before sending past it; credit returns only when the batch leaves
-// coordinator memory. Control traffic — joins, heartbeats, status replies,
+// coordinator memory. Control traffic — joins, heartbeats, step messages,
 // adopts, checkpoints, credit grants — bypasses the data credit entirely,
-// so liveness and termination detection can never deadlock behind full
-// data queues. Finally a shared budget (Config.MaxMemoryBytes) across
-// logs, checkpoints and queues first forces an early checkpoint+truncate
-// cycle under pressure and, only if still over budget once that cycle
-// resolves, fails fast with ErrResourceExhausted instead of OOMing.
+// so liveness and the barrier can never deadlock behind full data queues.
+// Finally a shared budget (Config.MaxMemoryBytes) across logs, checkpoints
+// and queues first forces an early checkpoint+truncate cycle under
+// pressure and, only if still over budget once that cycle resolves, fails
+// fast with ErrResourceExhausted instead of OOMing.
 //
-// Liveness is coordinator-side: status probes double as heartbeats, and a
-// worker silent past Config.WorkerDeadline (or whose connection breaks) is
-// declared dead. Termination uses Mattern-style counter waves adapted to
-// the star: per live worker, the batches it reports sent must equal the
-// batches the coordinator accepted from it, and the batches it reports
-// processed must equal the batches the coordinator delivered to it; two
-// consecutive identical all-idle waves with no membership change establish
-// quiescence, after which the coordinator collects outputs and statistics
-// (the final pooling step).
+// The run is internal/parallel's superstep loop over TCP. Each worker holds
+// the batches routed to it until the coordinator's step k message, takes
+// parallel.Node.Turn for each hosted bucket, Accepting in sender order,
+// and answers stepDone k. FIFO order on its connection puts that answer
+// behind its last data batch of the step, so once every live worker has
+// answered, the step's batches are all routed: that is the barrier. The
+// run ends at the first barrier whose step routed no batch and pushed no
+// adopt, replay or release; a death or migration in step k only means that
+// step k is not the last. With no fault, every bucket's counters but Busy
+// equal parallel.RunLockstep's.
+//
+// Liveness, the checkpoint timer, the memory budget and the rebalancer run
+// at every barrier and on one ticker, at half the shortest of
+// HeartbeatInterval, CheckpointInterval and Rebalance.Interval. Each tick
+// pings every live worker, whose reader answers even mid-turn; a worker
+// silent past Config.WorkerDeadline, or whose connection breaks, is
+// declared dead.
 //
 // The wire format is hybrid: gob carries the envelope (wireMsg) for the
 // low-rate control plane, while the high-rate payloads — data batches,
@@ -83,7 +91,7 @@ import (
 // Sentinel errors callers can test with errors.Is.
 var (
 	// ErrWorkerLost reports a worker death the runtime could not recover
-	// from (no survivors left, or a death after quiescence).
+	// from (no survivors left, or a death after the last step).
 	ErrWorkerLost = errors.New("dist: worker lost")
 	// ErrTimeout reports a run that exceeded Config.Timeout.
 	ErrTimeout = errors.New("dist: timeout")
@@ -109,28 +117,27 @@ type msgKind int
 
 const (
 	kindJoin            msgKind = iota + 1 // worker → coordinator: announce index
-	kindStart                              // coordinator → worker: begin evaluation (carries the initial credit)
-	kindStatus                             // coordinator → worker: heartbeat/status probe
-	kindStatusReply                        // worker → coordinator: counters + idleness
+	kindPing                               // coordinator → worker: heartbeat probe
+	kindPong                               // worker → coordinator: heartbeat reply
 	kindData                               // both directions: one tuple batch for a bucket
 	kindAdopt                              // coordinator → worker: take over a bucket (carries its checkpoint)
-	kindFinish                             // coordinator → worker: quiescent, ship outputs
+	kindFinish                             // coordinator → worker: the last step is over, ship outputs
 	kindOutput                             // worker → coordinator: pooled outputs + stats
 	kindCheckpointReq                      // coordinator → worker: snapshot one hosted bucket
 	kindCheckpointReply                    // worker → coordinator: the bucket's derived-tuple set + checksum
 	kindCredit                             // coordinator → worker: return send credit
 	kindRelease                            // coordinator → worker: stop hosting a bucket (it migrated away)
+	kindStep                               // coordinator → worker: take the turn of step Step (step 0 starts the run)
+	kindStepDone                           // worker → coordinator: turn Step taken, after its last data batch
 )
 
 // wireMsg is the single wire envelope; Kind selects the meaningful fields.
 type wireMsg struct {
 	Kind   msgKind
 	Index  int   // Join: the worker's dense index
-	Probe  int   // Status/StatusReply: heartbeat sequence; CheckpointReq/Reply: checkpoint id
-	Sent   int64 // StatusReply: data batches handed to the wire
-	Recv   int64 // StatusReply: data batches processed
-	Busy   int64 // StatusReply: cumulative evaluation nanoseconds
-	Idle   bool  // StatusReply
+	Probe  int   // CheckpointReq/Reply: checkpoint id
+	Step   int   // Step/StepDone: the superstep
+	Busy   int64 // StepDone: cumulative evaluation nanoseconds
 	Bucket int   // Data: destination bucket; Adopt/Checkpoint: the bucket concerned
 	From   int   // Data: originating bucket
 	Pred   string
@@ -142,7 +149,7 @@ type wireMsg struct {
 	// Output when the run was started with Profile set; the flat exported
 	// RuleProfile records gob-encode as-is.
 	Profiles []*seminaive.RuleProfile
-	// Profile on Start arms per-rule runtime counters on every node the
+	// Profile on step 0 arms per-rule runtime counters on every node the
 	// worker hosts, including later adoptions.
 	Profile bool
 	Sum     uint64 // CheckpointReply: wire.Checksum of Snap
@@ -153,9 +160,9 @@ type wireMsg struct {
 	// chain survives worker death.
 	Span   uint64 // Data: this batch's span id (0 = untracked)
 	Parent uint64 // Data: the span that caused this batch (0 = initialization)
-	// Credit fields: the initial grant on Start, replenishment on Credit.
-	Credits     int   // data batches the receiver may have in flight (0 = unlimited on Start)
-	CreditBytes int64 // data bytes the receiver may have resident at the coordinator (0 = unlimited on Start)
+	// Credit fields: the initial grant on step 0, replenishment on Credit.
+	Credits     int   // data batches the receiver may have in flight (0 = unlimited on step 0)
+	CreditBytes int64 // data bytes the receiver may have resident at the coordinator (0 = unlimited on step 0)
 }
 
 // dataCost is the resident size of one data batch — the encoded payload
@@ -238,11 +245,8 @@ type Config struct {
 	Buckets int
 	// Addr is the coordinator's listen address (default "127.0.0.1:0").
 	Addr string
-	// WavePoll is the detection-wave and heartbeat-probe period
-	// (default 200µs).
-	WavePoll time.Duration
-	// Timeout aborts a run that never quiesces (default 60s). The
-	// returned error wraps ErrTimeout.
+	// Timeout aborts a run that does not finish in time (default 60s).
+	// The returned error wraps ErrTimeout.
 	Timeout time.Duration
 	// HeartbeatInterval is how long a worker may stay silent before the
 	// coordinator records a heartbeat miss (default 100ms).
@@ -258,9 +262,9 @@ type Config struct {
 	// (default 5ms).
 	RetryBase time.Duration
 
-	// CheckpointEvery requests a checkpoint of a bucket after that many
-	// data batches have been logged for it since its last checkpoint;
-	// 0 disables the count trigger.
+	// CheckpointEvery requests a checkpoint of a bucket at the first
+	// barrier by which that many data batches have been logged for it
+	// since its last checkpoint; 0 disables the count trigger.
 	CheckpointEvery int
 	// CheckpointInterval requests a checkpoint of every bucket with a
 	// non-empty send log at this period; 0 disables the timer trigger.
@@ -324,8 +328,7 @@ type Config struct {
 	RebalanceFault func(*network.Candidate)
 
 	// Ctx, when non-nil, cancels the run: every blocking path (accept,
-	// decode, queue waits, credit waits, detection waves) unblocks
-	// promptly.
+	// decode, queue waits, credit waits, the barrier) unblocks promptly.
 	Ctx context.Context
 	// Sink, when non-nil, receives the coordinator's and (for in-process
 	// workers started by Run) the workers' event stream, including the
@@ -337,7 +340,7 @@ type Config struct {
 	// event labeling; nil labels events with the dense index.
 	ProcIDs []int
 	// Profile arms per-rule runtime counters on every worker node (the
-	// start message carries the flag; adopted buckets inherit it) and
+	// step 0 message carries the flag; adopted buckets inherit it) and
 	// merges the records shipped with each worker's output into
 	// Result.Profile. Off by default.
 	Profile bool
@@ -360,9 +363,6 @@ func (c *Config) fill() {
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
-	if c.WavePoll <= 0 {
-		c.WavePoll = 200 * time.Microsecond
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 60 * time.Second
 	}
@@ -382,6 +382,20 @@ func (c *Config) fill() {
 		c.Ctx = context.Background()
 	}
 	c.Rebalance.fill()
+}
+
+// tick is the period of the coordinator's ticker: half the shortest
+// configured interval, so a live worker's heartbeat reply is always fresher
+// than one HeartbeatInterval when liveness is checked.
+func (c *Config) tick() time.Duration {
+	d := c.HeartbeatInterval
+	if c.Rebalance.Enabled {
+		d = min(d, c.Rebalance.Interval)
+	}
+	if c.CheckpointInterval > 0 {
+		d = min(d, c.CheckpointInterval)
+	}
+	return max(d/2, 1)
 }
 
 // procID labels a dense worker index with its paper-level processor id.
@@ -473,7 +487,7 @@ type Result struct {
 	// the fragments the workers' nodes built; Run sets it.
 	Placements map[string]hashpart.Placement
 	// WorkerBusy holds each worker's cumulative evaluation nanoseconds
-	// (from its final status reply), indexed by dense worker index; dead
+	// (from its last stepDone), indexed by dense worker index; dead
 	// workers keep the last value they reported. On the paper's
 	// one-processor-per-worker hardware the maximum entry is the critical
 	// path that a run's wall clock converges to, which makes it the
@@ -552,16 +566,6 @@ func (q *queue) pop() (qmsg, bool) {
 	}
 }
 
-// takeAll drains the queue without blocking (mailbox mode).
-func (q *queue) takeAll() []qmsg {
-	q.mu.Lock()
-	out := q.msgs[q.head:]
-	q.msgs = nil
-	q.head = 0
-	q.mu.Unlock()
-	return out
-}
-
 // close stops accepting pushes and wakes the consumer.
 func (q *queue) close() {
 	q.mu.Lock()
@@ -615,8 +619,8 @@ func NewCoordinator(cfg Config, idbArities map[string]int) (*Coordinator, error)
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
 // wkState is the coordinator's handle on one worker: its connection, its
-// serialized outbound queue, and the counters the termination and liveness
-// logic reads. All mutable fields are guarded by the router mutex.
+// serialized outbound queue, and what the barrier and liveness logic read.
+// All mutable fields are guarded by the router mutex.
 type wkState struct {
 	index int
 	conn  net.Conn
@@ -624,18 +628,12 @@ type wkState struct {
 	out   *queue
 
 	alive     bool
-	connErr   error     // first reader/writer error; death finalized by the wave loop
-	lastHeard time.Time // last status reply (or start time)
+	connErr   error     // first reader/writer error; death finalized by the barrier loop
+	lastHeard time.Time // last message received (or start time)
 	misses    int       // heartbeat misses already reported
 
-	// Last reported worker counters (from kindStatusReply).
-	rSent, rRecv int64
-	rBusy        int64 // cumulative evaluation ns — the busy-fraction input to rebalancing
-	rIdle        bool
-
-	// Coordinator-side authoritative counters: data batches accepted
-	// from this worker and delivered to it (including replays).
-	accepted, delivered int64
+	done int   // the last step this worker finished (-1 before step 0)
+	busy int64 // cumulative evaluation ns from its last stepDone — the rebalancer's tie-break
 
 	output *wireMsg // final kindOutput, once received
 }
@@ -683,7 +681,14 @@ type router struct {
 	ws      []*wkState
 	buckets []bucketState
 
-	gen        int // membership generation; bumped on every death
+	// step is the current superstep; moved counts what it has moved so
+	// far: batches routed to a bucket, adopts (with their replays) and
+	// releases. The run ends at a barrier whose step moved nothing.
+	step, moved int
+	// wake tells the barrier loop that a worker finished its step or
+	// broke its connection.
+	wake chan struct{}
+
 	deaths     []int
 	recoveries []Recovery
 	fatal      error
@@ -720,6 +725,7 @@ func newRouter(cfg *Config, ws []*wkState) *router {
 		cfg:      cfg,
 		ws:       ws,
 		buckets:  make([]bucketState, nb),
+		wake:     make(chan struct{}, 1),
 		outputCh: make(chan int, len(ws)),
 	}
 	now := time.Now()
@@ -735,27 +741,62 @@ func newRouter(cfg *Config, ws []*wkState) *router {
 // agree (the classic 1:1 layout) and extra buckets wrap around.
 func InitialOwner(bucket, workers int) int { return bucket % workers }
 
-// connBroken records a connection failure; the wave loop turns it into a
-// death (keeping all recovery logic on one goroutine).
+func (r *router) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// connBroken records a connection failure; the barrier loop turns it into
+// a death (keeping all recovery logic on one goroutine).
 func (r *router) connBroken(w *wkState, err error) {
 	r.mu.Lock()
 	if w.alive && w.connErr == nil {
 		w.connErr = err
 	}
 	r.mu.Unlock()
+	r.signal()
 }
 
-// route logs and forwards one data batch to the current owner of its
-// destination bucket. Batches from workers already declared dead are
-// dropped: their buckets are being replayed and set semantics make the
-// replayed derivations a superset.
-func (r *router) route(w *wkState, m wireMsg) {
+// handle applies one message from worker w; an error breaks w's
+// connection. Nothing a worker sends after it was declared dead is
+// applied: its buckets are being replayed elsewhere, and set semantics
+// make the replayed derivations a superset of its late batches.
+func (r *router) handle(w *wkState, m wireMsg) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !w.alive {
-		return
+		return fmt.Errorf("dist: worker %d sent message kind %d after it was declared dead", w.index, m.Kind)
 	}
-	w.accepted++
+	w.lastHeard, w.misses = time.Now(), 0
+	switch m.Kind {
+	case kindPong:
+	case kindStepDone:
+		if m.Step != r.step {
+			return fmt.Errorf("dist: worker %d finished step %d during step %d", w.index, m.Step, r.step)
+		}
+		w.done, w.busy = m.Step, m.Busy
+		r.signal()
+	case kindData:
+		r.routeLocked(w, m)
+	case kindCheckpointReply:
+		r.noteCheckpointLocked(w, m)
+	case kindOutput:
+		if w.output != nil {
+			return fmt.Errorf("dist: worker %d sent its output twice", w.index)
+		}
+		w.output = &m
+		r.outputCh <- w.index // buffered for one output per worker
+	default:
+		return fmt.Errorf("dist: worker %d sent unexpected message kind %d", w.index, m.Kind)
+	}
+	return nil
+}
+
+// routeLocked logs and forwards one data batch to the current owner of its
+// destination bucket. Caller holds the mutex.
+func (r *router) routeLocked(w *wkState, m wireMsg) {
 	if r.cfg.RouteFault != nil {
 		if b := r.cfg.RouteFault(w.index, m.Bucket); b != m.Bucket {
 			m.Bucket = b
@@ -763,9 +804,8 @@ func (r *router) route(w *wkState, m wireMsg) {
 		}
 	}
 	if m.Bucket < 0 || m.Bucket >= len(r.buckets) {
-		// Corrupt destination: accepted (so the wave math stays
-		// balanced) but undeliverable. Count and report it instead of
-		// losing it invisibly.
+		// Corrupt destination: undeliverable. Count and report it
+		// instead of losing it invisibly.
 		r.dropped++
 		if r.cfg.Sink != nil {
 			r.cfg.Sink.BatchDropped(r.cfg.procID(w.index), m.Bucket, wire.BatchCount(m.Raw))
@@ -779,16 +819,12 @@ func (r *router) route(w *wkState, m wireMsg) {
 	bs.logBytes += cost
 	r.logBytes += cost
 	o := r.ws[bs.owner]
-	o.delivered++
+	r.moved++
 	r.queueBytes += cost
 	if r.queueBytes > r.peakQueue {
 		r.peakQueue = r.queueBytes
 	}
 	o.out.push(qmsg{m: m, cost: cost, sender: w.index})
-	if r.cfg.CheckpointEvery > 0 && bs.pending == 0 &&
-		bs.logBase+int64(len(bs.log))-bs.snapOffset >= int64(r.cfg.CheckpointEvery) {
-		r.requestCheckpointLocked(m.Bucket)
-	}
 }
 
 // settle retires one popped queue entry: the batch has left coordinator
@@ -840,30 +876,34 @@ func (r *router) requestCheckpointLocked(b int) {
 	}
 }
 
-// checkCheckpoints fires the timer-based checkpoint trigger. Called from
-// the wave loop.
-func (r *router) checkCheckpoints(now time.Time) {
-	if r.cfg.CheckpointInterval <= 0 {
-		return
-	}
+// checkCheckpoints fires the checkpoint triggers: the count trigger at
+// barriers only, so that without faults a run takes the same checkpoints
+// at the same steps every time, and the timer trigger at every check.
+// Called from the barrier loop.
+func (r *router) checkCheckpoints(now time.Time, barrier bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for b := range r.buckets {
 		bs := &r.buckets[b]
-		if bs.pending == 0 && len(bs.log) > 0 && now.Sub(bs.lastReq) >= r.cfg.CheckpointInterval {
+		if bs.pending != 0 || len(bs.log) == 0 {
+			continue
+		}
+		count := barrier && r.cfg.CheckpointEvery > 0 &&
+			bs.logBase+int64(len(bs.log))-bs.snapOffset >= int64(r.cfg.CheckpointEvery)
+		timer := r.cfg.CheckpointInterval > 0 && now.Sub(bs.lastReq) >= r.cfg.CheckpointInterval
+		if count || timer {
 			r.requestCheckpointLocked(b)
 		}
 	}
 }
 
-// noteCheckpoint processes one checkpoint reply: verify it, store it,
-// truncate the log prefix it covers. A reply that raced with a bucket
+// noteCheckpointLocked processes one checkpoint reply: verify it, store
+// it, truncate the log prefix it covers. A reply that raced with a bucket
 // reassignment, was superseded, failed its checksum, or was dropped or
 // corrupted by the fault hook leaves the log untouched — recovery then
-// simply replays a longer suffix, so every outcome is safe.
-func (r *router) noteCheckpoint(w *wkState, m wireMsg) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// simply replays a longer suffix, so every outcome is safe. Caller holds
+// the mutex.
+func (r *router) noteCheckpointLocked(w *wkState, m wireMsg) {
 	if m.Bucket < 0 || m.Bucket >= len(r.buckets) {
 		return
 	}
@@ -925,7 +965,7 @@ func (r *router) noteCheckpoint(w *wkState, m wireMsg) {
 // queues: on first overrun it forces an early checkpoint+truncate cycle;
 // if the budget is still exceeded once no checkpoint requests remain in
 // flight and no log is left to truncate, it fails the run fast with
-// ErrResourceExhausted. Called from the wave loop.
+// ErrResourceExhausted. Called from the barrier loop.
 func (r *router) checkMemory() {
 	if r.cfg.MaxMemoryBytes <= 0 {
 		return
@@ -973,36 +1013,33 @@ func (r *router) checkMemory() {
 	}
 }
 
-func (r *router) noteStatus(w *wkState, m wireMsg) {
-	r.mu.Lock()
-	w.lastHeard = time.Now()
-	w.misses = 0
-	w.rSent, w.rRecv, w.rIdle = m.Sent, m.Recv, m.Idle
-	w.rBusy = m.Busy
-	r.mu.Unlock()
-}
-
-func (r *router) noteOutput(w *wkState, m wireMsg) {
-	r.mu.Lock()
-	w.output = &m
-	r.mu.Unlock()
-	r.outputCh <- w.index
-}
-
-// probe enqueues one status/heartbeat probe to every live worker.
-func (r *router) probe(n int) {
+// ping enqueues one heartbeat probe to every live worker.
+func (r *router) ping() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, w := range r.ws {
 		if w.alive {
-			w.out.push(control(wireMsg{Kind: kindStatus, Probe: n}))
+			w.out.push(control(wireMsg{Kind: kindPing}))
 		}
 	}
 }
 
+// checks runs liveness, the checkpoint timer, the memory budget and the
+// rebalancer, and returns the run's fatal error, if any. Called from the
+// barrier loop, at every barrier and tick.
+func (r *router) checks(now time.Time, barrier bool) error {
+	r.checkLiveness(now)
+	r.checkCheckpoints(now, barrier)
+	r.checkMemory()
+	r.checkRebalance(now)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fatal
+}
+
 // checkLiveness declares deaths (broken connections, deadline overruns),
 // reports heartbeat misses, and performs bucket recovery. Called from the
-// wave loop only.
+// barrier loop only.
 func (r *router) checkLiveness(now time.Time) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -1039,7 +1076,6 @@ func (r *router) checkLiveness(now time.Time) {
 // the mutex.
 func (r *router) declareDead(w *wkState, reason string) {
 	w.alive = false
-	r.gen++
 	r.deaths = append(r.deaths, w.index)
 	w.conn.Close()
 	w.out.close()
@@ -1098,6 +1134,7 @@ func (r *router) declareDead(w *wkState, reason string) {
 // mutex and has already flipped the bucket's owner to s.index.
 func (r *router) adoptAndReplayLocked(b int, s *wkState) int {
 	bs := &r.buckets[b]
+	r.moved++
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ReplayStart(b, r.cfg.procID(s.index))
 	}
@@ -1107,7 +1144,6 @@ func (r *router) adoptAndReplayLocked(b int, s *wkState) int {
 	}
 	s.out.push(control(adopt))
 	for _, le := range bs.log {
-		s.delivered++
 		r.queueBytes += le.cost
 		if r.queueBytes > r.peakQueue {
 			r.peakQueue = r.queueBytes
@@ -1143,15 +1179,15 @@ func (r *router) survivorLocked() *wkState {
 }
 
 // checkRebalance is the adaptive load balancer's decision point, called at
-// wave cadence. Every Interval it samples each bucket's routed-tuple delta
-// into the sliding window; when the per-bucket window skew crosses the
-// threshold (or under Force) it picks the hottest bucket of the hottest
-// worker and migrates it to the least-loaded live worker — after the
-// candidate map passes the transferability check — using the same
-// checkpoint-adopt + log-suffix replay as death recovery. The membership
-// generation bump fences the Mattern termination check across the move, and
-// FIFO queue order fences in-flight batches: everything routed before the
-// flip precedes the release in the old owner's queue, and anything it had
+// every barrier and tick. Every Interval it samples each bucket's
+// routed-tuple delta into the sliding window; when the per-bucket window
+// skew crosses the threshold (or under Force) it picks the hottest bucket
+// of the hottest worker and migrates it to the least-loaded live worker —
+// after the candidate map passes the transferability check — using the
+// same checkpoint-adopt + log-suffix replay as death recovery. The move counts
+// as moved in the current step, so that step is not the last, and FIFO
+// queue order fences in-flight batches: everything routed before the flip
+// precedes the release in the old owner's queue, and anything it had
 // accepted but not drained is regenerated at the new owner by the replay
 // (set semantics make that confluent).
 func (r *router) checkRebalance(now time.Time) {
@@ -1221,7 +1257,7 @@ func (r *router) checkRebalance(now time.Time) {
 			continue
 		}
 		if from < 0 || load[w.index] > load[from] ||
-			(load[w.index] == load[from] && w.rBusy > r.ws[from].rBusy) {
+			(load[w.index] == load[from] && w.busy > r.ws[from].busy) {
 			from = w.index
 		}
 	}
@@ -1230,7 +1266,7 @@ func (r *router) checkRebalance(now time.Time) {
 			continue
 		}
 		if to < 0 || load[w.index] < load[to] ||
-			(load[w.index] == load[to] && w.rBusy < r.ws[to].rBusy) {
+			(load[w.index] == load[to] && w.busy < r.ws[to].busy) {
 			to = w.index
 		}
 	}
@@ -1269,12 +1305,10 @@ func (r *router) checkRebalance(now time.Time) {
 		return
 	}
 
-	// Apply the move: a recovery without a death. The generation bump
-	// voids any in-flight quiescence decision; the release is enqueued to
-	// the old owner after every batch already routed to it (FIFO), and the
-	// adopt + suffix replay rebuilds the bucket at the new owner.
+	// Apply the move: a recovery without a death. The release is enqueued
+	// to the old owner after every batch already routed to it (FIFO), and
+	// the adopt + suffix replay rebuilds the bucket at the new owner.
 	obs.MigrationStart(r.cfg.Sink, hot, r.cfg.procID(from), r.cfg.procID(to), skew)
-	r.gen++
 	bs := &r.buckets[hot]
 	bs.owner = to
 	bs.pending = 0 // the old owner's checkpoint reply would be stale
@@ -1290,31 +1324,37 @@ func (r *router) checkRebalance(now time.Time) {
 	obs.MigrationEnd(r.cfg.Sink, hot, r.cfg.procID(from), r.cfg.procID(to), replayed)
 }
 
-// snapshot evaluates the quiescence condition over the live membership and
-// returns the wave vector the two-wave stability check compares.
-func (r *router) snapshot() (vec []int64, allQuiet bool, gen int, err error) {
+// barrier reports whether every live worker has finished the current
+// step.
+func (r *router) barrier() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	allQuiet = true
-	any := false
 	for _, w := range r.ws {
-		if !w.alive {
-			continue
+		if w.alive && w.done != r.step {
+			return false
 		}
-		any = true
-		if !w.rIdle || w.rSent != w.accepted || w.rRecv != w.delivered {
-			allQuiet = false
-		}
-		var idle int64
-		if w.rIdle {
-			idle = 1
-		}
-		vec = append(vec, int64(w.index), w.rSent, w.rRecv, w.accepted, w.delivered, idle)
 	}
-	if !any {
-		allQuiet = false
+	return true
+}
+
+// advance starts the next step at a barrier, unless the step just finished
+// moved nothing: then the run is over and advance reports false. The step
+// messages go out under the mutex, so no batch of the new step can be
+// routed to a worker ahead of its step message.
+func (r *router) advance() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.moved == 0 {
+		return false
 	}
-	return vec, allQuiet, r.gen, r.fatal
+	r.step++
+	r.moved = 0
+	for _, w := range r.ws {
+		if w.alive {
+			w.out.push(control(wireMsg{Kind: kindStep, Step: r.step}))
+		}
+	}
+	return true
 }
 
 // finish asks every live worker for its output and returns their indices.
@@ -1339,18 +1379,6 @@ func (r *router) closeAll() {
 		w.conn.Close()
 		w.out.close()
 	}
-}
-
-func equalVec(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Wait accepts the workers, runs the protocol to completion — surviving
@@ -1443,7 +1471,7 @@ func (c *Coordinator) Wait() (*Result, error) {
 		}()
 	}
 
-	// Start phase: the start message carries each worker's initial send
+	// Start phase: step 0's message carries each worker's initial send
 	// credit (the byte budget split evenly across workers).
 	creditBytes := int64(0)
 	if c.cfg.MaxQueueBytes > 0 {
@@ -1452,66 +1480,60 @@ func (c *Coordinator) Wait() (*Result, error) {
 			creditBytes = 1
 		}
 	}
+	// Extra buckets (Buckets > Workers): each worker natively builds only
+	// the node of its own index, so every wrapped-around bucket is adopted
+	// fresh (nil snapshot). The adopts precede step 0's message, so each
+	// is initialized in step 0's turn as its own node would be.
 	r.mu.Lock()
+	for b := len(ws); b < len(r.buckets); b++ {
+		r.ws[r.buckets[b].owner].out.push(control(wireMsg{Kind: kindAdopt, Bucket: b}))
+	}
 	for _, w := range ws {
 		w.lastHeard = time.Now() // the liveness clock starts now
+		w.done = -1
 		w.out.push(control(wireMsg{
-			Kind:        kindStart,
+			Kind:        kindStep,
 			Credits:     c.cfg.MaxInflightBatches,
 			CreditBytes: creditBytes,
 			Profile:     c.cfg.Profile,
 		}))
 	}
-	// Extra buckets (Buckets > Workers): each worker natively builds only
-	// the node of its own index, so every wrapped-around bucket is adopted
-	// fresh (nil snapshot) at start. Pushing under the router mutex, before
-	// any data can be routed, makes the adopt precede the bucket's first
-	// batch in the owner's FIFO queue.
-	for b := len(ws); b < len(r.buckets); b++ {
-		r.ws[r.buckets[b].owner].out.push(control(wireMsg{Kind: kindAdopt, Bucket: b}))
-	}
 	r.mu.Unlock()
 
-	// Detection waves: Mattern-style counter comparison over the star.
-	// Each wave doubles as a heartbeat probe; deaths discovered here
-	// trigger bucket recovery before the next quiescence check, and the
-	// checkpoint timer and memory budget are enforced at the same cadence.
-	var prevVec []int64
-	prevQuiet := false
-	prevGen := -1
-	waveTimer := time.NewTimer(c.cfg.WavePoll)
-	defer waveTimer.Stop()
-	for waveNum := 0; ; waveNum++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("dist: run exceeded %v without quiescing: %w", c.cfg.Timeout, ErrTimeout)
-		}
-		now := time.Now()
-		r.checkLiveness(now)
-		r.checkCheckpoints(now)
-		r.checkMemory()
-		r.checkRebalance(now)
-		r.probe(waveNum)
-		vec, quiet, gen, fatal := r.snapshot()
-		if fatal != nil {
-			return nil, fatal
-		}
-		done := quiet && prevQuiet && gen == prevGen && equalVec(vec, prevVec)
-		if c.cfg.Sink != nil {
-			c.cfg.Sink.TermProbe("mattern", waveNum, done)
-		}
-		if done {
-			break
-		}
-		prevVec, prevQuiet, prevGen = vec, quiet, gen
-		waveTimer.Reset(c.cfg.WavePoll)
+	// The barrier loop. A stepDone or a broken connection wakes it; the
+	// ticker pings and runs the periodic checks. At each barrier the checks
+	// run once more, and the run either ends or starts the next step.
+	tick := time.NewTicker(c.cfg.tick())
+	defer tick.Stop()
+	steps := 0
+	for {
 		select {
-		case <-waveTimer.C:
+		case <-r.wake:
+			r.checkLiveness(time.Now())
+		case now := <-tick.C:
+			r.ping()
+			if err := r.checks(now, false); err != nil {
+				return nil, err
+			}
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
+		if time.Now().After(deadline) {
+			return nil, fmt.Errorf("dist: run exceeded %v at step %d: %w", c.cfg.Timeout, steps, ErrTimeout)
+		}
+		if !r.barrier() {
+			continue
+		}
+		if err := r.checks(time.Now(), true); err != nil {
+			return nil, err
+		}
+		steps++
+		if !r.advance() {
+			break
+		}
+	}
+	if c.cfg.Sink != nil {
+		c.cfg.Sink.TermProbe("superstep", steps, true)
 	}
 
 	// Collection phase: final pooling. A worker death here is fatal —
@@ -1522,30 +1544,28 @@ func (c *Coordinator) Wait() (*Result, error) {
 	for _, wi := range live {
 		need[wi] = true
 	}
-	collectTimer := time.NewTimer(c.cfg.WavePoll)
-	defer collectTimer.Stop()
 	for len(need) > 0 {
 		select {
 		case wi := <-r.outputCh:
 			delete(need, wi)
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-collectTimer.C:
+		case <-tick.C:
 			if time.Now().After(deadline) {
 				return nil, fmt.Errorf("dist: output collection exceeded %v: %w", c.cfg.Timeout, ErrTimeout)
 			}
+		case <-r.wake:
 			r.mu.Lock()
 			var broken error
 			for _, w := range ws {
 				if w.alive && need[w.index] && w.connErr != nil {
-					broken = fmt.Errorf("dist: worker %d died after quiescence: %v: %w", w.index, w.connErr, ErrWorkerLost)
+					broken = fmt.Errorf("dist: worker %d died after the last step: %v: %w", w.index, w.connErr, ErrWorkerLost)
 				}
 			}
 			r.mu.Unlock()
 			if broken != nil {
 				return nil, broken
 			}
-			collectTimer.Reset(c.cfg.WavePoll)
 		}
 	}
 
@@ -1567,7 +1587,7 @@ func (c *Coordinator) Wait() (*Result, error) {
 	res.RebalanceRejected = r.rebalRejected
 	var outs []*wireMsg
 	for _, w := range ws {
-		res.WorkerBusy = append(res.WorkerBusy, w.rBusy)
+		res.WorkerBusy = append(res.WorkerBusy, w.busy)
 		if w.output != nil {
 			outs = append(outs, w.output)
 		}
@@ -1652,26 +1672,21 @@ func union(pooled relation.Store, ob outBatch) (int, error) {
 	return b.N, nil
 }
 
-// readLoop decodes one worker's inbound stream and dispatches it.
+// readLoop decodes one worker's inbound stream and hands each message to
+// the router, until the worker's output, a bad message or a broken
+// connection.
 func (c *Coordinator) readLoop(r *router, w *wkState) {
 	for {
 		var m wireMsg
-		if err := w.dec.Decode(&m); err != nil {
+		err := w.dec.Decode(&m)
+		if err == nil {
+			err = r.handle(w, m)
+		}
+		if err != nil {
 			r.connBroken(w, err)
 			return
 		}
-		switch m.Kind {
-		case kindStatusReply:
-			r.noteStatus(w, m)
-		case kindData:
-			r.route(w, m)
-		case kindCheckpointReply:
-			r.noteCheckpoint(w, m)
-		case kindOutput:
-			r.noteOutput(w, m)
-			return
-		default:
-			r.connBroken(w, fmt.Errorf("unexpected message kind %d", m.Kind))
+		if m.Kind == kindOutput {
 			return
 		}
 	}

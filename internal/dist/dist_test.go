@@ -1,17 +1,20 @@
 package dist
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"parlog/internal/analysis"
 	"parlog/internal/hashpart"
+	"parlog/internal/obs"
 	"parlog/internal/parallel"
 	"parlog/internal/parser"
 	"parlog/internal/randprog"
@@ -326,5 +329,176 @@ func TestCoordinatorRejectsBadJoin(t *testing.T) {
 	}
 	if err := <-done; err == nil {
 		t.Error("coordinator accepted an out-of-range worker index")
+	}
+}
+
+// TestCoordinatorRejectsBadStepDone drives the barrier with hand-rolled
+// worker connections. Worker 1 answers step 0's message with a stepDone
+// for step 5, followed in the same burst by a data batch and the right
+// stepDone. The coordinator must break worker 1's connection, naming the
+// worker and both steps, apply nothing that followed, recover bucket 1
+// onto worker 0 and finish the run.
+func TestCoordinatorRejectsBadStepDone(t *testing.T) {
+	rec := obs.NewRecorder()
+	coord, err := NewCoordinator(Config{Workers: 2, Timeout: 10 * time.Second, Sink: rec}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		res *Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := coord.Wait()
+		done <- result{res, err}
+	}()
+	// endpoint is one hand-rolled worker's end of its connection.
+	type endpoint struct {
+		buf *bufio.Writer
+		enc *gob.Encoder
+		dec *gob.Decoder
+	}
+	// send writes ms to the connection in one write, so the coordinator
+	// cannot close it between them.
+	send := func(e endpoint, ms ...wireMsg) error {
+		for _, m := range ms {
+			if err := e.enc.Encode(m); err != nil {
+				return err
+			}
+		}
+		return e.buf.Flush()
+	}
+	join := func(index int) endpoint {
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		buf := bufio.NewWriter(conn)
+		e := endpoint{buf, gob.NewEncoder(buf), gob.NewDecoder(conn)}
+		if err := send(e, wireMsg{Kind: kindJoin, Index: index}); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	w0, w1 := join(0), join(1)
+
+	// Worker 0 takes every step and ships an empty output at the end.
+	var got0 []msgKind
+	w0done := make(chan error, 1)
+	go func() {
+		for {
+			var m wireMsg
+			if err := w0.dec.Decode(&m); err != nil {
+				w0done <- err
+				return
+			}
+			got0 = append(got0, m.Kind)
+			var reply wireMsg
+			switch m.Kind {
+			case kindPing:
+				reply = wireMsg{Kind: kindPong}
+			case kindStep:
+				reply = wireMsg{Kind: kindStepDone, Step: m.Step}
+			case kindFinish:
+				reply = wireMsg{Kind: kindOutput, Index: 0}
+			default:
+				continue
+			}
+			if err := send(w0, reply); err != nil {
+				w0done <- err
+				return
+			}
+			if m.Kind == kindFinish {
+				w0done <- nil
+				return
+			}
+		}
+	}()
+	// Worker 1 misreports its step.
+	for {
+		var m wireMsg
+		if err := w1.dec.Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Kind == kindStep {
+			break
+		}
+	}
+	if err := send(w1,
+		wireMsg{Kind: kindStepDone, Step: 5},
+		wireMsg{Kind: kindData, Bucket: 0, From: 1, Pred: "p", Raw: []byte{1, 1, 7}},
+		wireMsg{Kind: kindStepDone, Step: 0},
+	); err != nil {
+		t.Fatal(err)
+	}
+
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the run wedged after a bad stepDone")
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if err := <-w0done; err != nil {
+		t.Fatalf("worker 0: %v", err)
+	}
+	if !reflect.DeepEqual(r.res.Deaths, []int{1}) {
+		t.Fatalf("Deaths = %v, want [1]", r.res.Deaths)
+	}
+	for _, k := range got0 {
+		if k == kindData {
+			t.Error("worker 0 was sent the batch worker 1 wrote after its bad stepDone")
+		}
+	}
+	var reason string
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindWorkerDead {
+			reason = e.Reason
+		}
+	}
+	for _, want := range []string{"worker 1", "step 5", "step 0"} {
+		if !strings.Contains(reason, want) {
+			t.Errorf("death reason %q does not name %q", reason, want)
+		}
+	}
+}
+
+// TestRouterRejectsMessagesFromTheDead: once a worker is declared dead,
+// any message it still has in flight breaks its connection and changes
+// nothing — not the barrier, not the logs.
+func TestRouterRejectsMessagesFromTheDead(t *testing.T) {
+	cfg := &Config{}
+	cfg.fill()
+	c1, c2 := net.Pipe()
+	defer c1.Close()
+	defer c2.Close()
+	ws := []*wkState{
+		{index: 0, conn: c1, out: newQueue(), alive: true, done: -1},
+		{index: 1, conn: c2, out: newQueue(), alive: true, done: -1},
+	}
+	r := newRouter(cfg, ws)
+	r.mu.Lock()
+	r.declareDead(ws[1], "test")
+	r.mu.Unlock()
+
+	for _, m := range []wireMsg{
+		{Kind: kindStepDone, Step: 0},
+		{Kind: kindData, Bucket: 0, From: 1, Pred: "p", Raw: []byte{1, 1, 7}},
+		{Kind: kindPong},
+	} {
+		err := r.handle(ws[1], m)
+		if err == nil || !strings.Contains(err.Error(), "worker 1") || !strings.Contains(err.Error(), "declared dead") {
+			t.Errorf("message kind %d from a dead worker: err = %v, want one naming worker 1 as dead", m.Kind, err)
+		}
+	}
+	if ws[1].done != -1 {
+		t.Errorf("a dead worker's stepDone moved its step to %d", ws[1].done)
+	}
+	if n := len(r.buckets[0].log); n != 0 {
+		t.Errorf("a dead worker's batch was logged (%d entries)", n)
 	}
 }

@@ -4,13 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"parlog/internal/analysis"
 	"parlog/internal/dist/fault"
-	"parlog/internal/hashpart"
 	"parlog/internal/parallel"
 	"parlog/internal/randprog"
 	"parlog/internal/relation"
-	"parlog/internal/rewrite"
 	"parlog/internal/seminaive"
 )
 
@@ -141,20 +138,7 @@ func TestPoolRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := 2 + int(seed%3)
-		h := hashpart.ModHash{N: n, Seed: uint64(seed)}
-		spec := rewrite.GeneralSpec{Procs: hashpart.RangeProcs(n)}
-		rules, _ := g.Prog.FactTuples()
-		for _, r := range rules {
-			vars := r.BodyVars()
-			if recs := analysis.RecursiveAtoms(g.Prog, r); len(recs) > 0 {
-				if v := r.Body[recs[0]].Vars(nil); len(v) > 0 {
-					vars = v
-				}
-			}
-			spec.Rules = append(spec.Rules, rewrite.RuleSpec{Seq: vars[:1], H: h})
-		}
-		p, err := parallel.BuildGeneral(g.Prog, spec)
+		p, err := parallel.BuildGeneral(g.Prog, randprogSpec(t, g, 2+int(seed%3), seed))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

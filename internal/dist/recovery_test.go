@@ -27,11 +27,12 @@ func injectorDial(target int, sched fault.Schedule) (func(wi int) DialFunc, *fau
 }
 
 // armOnRoute returns a RouteFault hook that routes every batch unchanged
-// and arms in once the coordinator has routed n batches to bucket. The
-// armed kill lands at the victim's next write — before the next
-// termination wave can complete, since that wave needs the victim's reply
-// — and after the bucket's log holds data, so the recovery has batches to
-// replay.
+// and arms in once the coordinator has routed n batches to bucket. A batch
+// routed to the bucket in step k is input to its owner's turn in step k+1,
+// and a worker with input in a step must still write that step's
+// stepDone, so the kill lands at the latest on that write, before the
+// barrier of step k+1 — never after the run's last step. The bucket's log
+// then holds data, so the recovery has batches to replay.
 func armOnRoute(in *fault.Injector, bucket, n int) func(from, b int) int {
 	var seen atomic.Int32
 	return func(_, b int) int {
@@ -44,7 +45,11 @@ func armOnRoute(in *fault.Injector, bucket, n int) func(from, b int) int {
 
 // armOnCheckpoint returns a CheckpointFault hook that passes every reply
 // and arms in at the n-th reply for bucket, so the kill lands after
-// checkpoints have truncated that bucket's log.
+// checkpoints have truncated that bucket's log. The count trigger requests
+// checkpoints at barriers, so without faults the n-th reply arrives in the
+// same step k of every run, before barrier k. Every live worker writes a
+// stepDone for every step, so if step k moves anything the kill lands at
+// the latest on the victim's stepDone of step k+1.
 func armOnCheckpoint(in *fault.Injector, bucket, n int) func(b, probe int) int {
 	var seen atomic.Int32
 	return func(b, _ int) int {
@@ -66,7 +71,7 @@ func TestBucketRecoveryKillOneOfThree(t *testing.T) {
 
 	// Kill worker 1's (only) connection once the coordinator has routed
 	// data to its bucket: past the join handshake, with a log to replay,
-	// and before the run can quiesce.
+	// and before the run's last step.
 	dial, in := injectorDial(1, fault.Schedule{Seed: 5, KillConn: 1})
 	rec := obs.NewRecorder()
 	res, err := Run(p, edb, Config{WorkerDial: dial, RouteFault: armOnRoute(in, 1, 1), Sink: rec})

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"parlog/internal/obs"
@@ -157,7 +156,7 @@ func (f *failure) fail(err error) {
 }
 
 // creditGate is the sender side of the coordinator's flow control: the
-// start message deposits the worker's initial credit (batches and/or
+// step 0 message deposits the worker's initial credit (batches and/or
 // bytes), every data send debits it before reaching the wire, and every
 // kindCredit grant replenishes it. acquire blocks the eval loop — never
 // the reader, so heartbeats and grants keep flowing — until the debit
@@ -182,7 +181,7 @@ func (g *creditGate) signal() {
 	}
 }
 
-// configure installs the initial credit from the start message. Called by
+// configure installs the initial credit from the step 0 message. Called by
 // the reader before the eval loop starts (the started-channel close is the
 // happens-before edge).
 func (g *creditGate) configure(batches int, bytes int64) {
@@ -292,19 +291,20 @@ func dialRetry(ctx context.Context, dial DialFunc, addr string, retries int, bas
 }
 
 // RunWorker executes one processor's node against a coordinator: connect
-// (with retry), join, evaluate until the coordinator establishes global
-// quiescence, then ship outputs and statistics. All traffic — control,
-// heartbeats and data batches — flows over the single coordinator
-// connection (star topology), which is what lets the coordinator log every
-// batch for replay. If the coordinator reassigns a dead peer's bucket here,
-// the worker builds a second node via cfg.NewNode, installs the bucket's
-// checkpoint and hosts both; outputs and stats are then reported per
-// bucket. Data sends honor the coordinator's credit grants; control
-// traffic (status replies, checkpoint replies, the final output) bypasses
-// the credit so liveness never queues behind flow control. Blocking;
-// returns after the coordinator has collected this worker's output, or
-// with an error if the connection breaks mid-run (the coordinator then
-// recovers this worker's buckets elsewhere).
+// (with retry), join, take one turn per superstep until the coordinator
+// finds a step that moved nothing, then ship outputs and statistics. All
+// traffic — control, heartbeats and data batches — flows over the single
+// coordinator connection (star topology), which is what lets the
+// coordinator log every batch for replay. If the coordinator reassigns a
+// dead peer's bucket here, the worker builds a second node via
+// cfg.NewNode, installs the bucket's checkpoint and hosts both; outputs
+// and stats are then reported per bucket. Data sends honor the
+// coordinator's credit grants; control traffic (heartbeat and checkpoint
+// replies, stepDone, the final output) bypasses the credit so liveness
+// never queues behind flow control. Blocking; returns after the
+// coordinator has collected this worker's output, or with an error if the
+// connection breaks mid-run (the coordinator then recovers this worker's
+// buckets elsewhere).
 func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 	cfg.fill()
 	ctx := cfg.Ctx
@@ -325,30 +325,15 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 	var (
 		f          = newFailure()
 		wq         = newQueue() // outbound wire messages, serialized by the writer
-		mbox       = newQueue() // inbound data/adopt/finish/checkpoint, drained by the eval loop
+		mbox       = newQueue() // inbound messages the turns take, in arrival order
 		gate       = newCreditGate()
-		started    = make(chan struct{})
 		writerDone = make(chan struct{})
-		// The termination counters: sent is incremented before a batch is
-		// enqueued for the wire; recv counts data batches fully merged;
-		// idle flips only at the eval loop's rest points. The status
-		// responder reads recv, then idle, then sent — sent last, so a
-		// reply can never understate in-flight sends relative to the
-		// idleness it reports (that ordering is what makes the
-		// coordinator's quiescence check sound). A sender blocked on
-		// credit is not at a rest point, so idle stays false and the
-		// coordinator cannot mistake a credit stall for quiescence.
-		sent, recv atomic.Int64
-		idle       atomic.Bool
-		// busyNs accumulates wall time spent evaluating (init, adopts and
-		// drains) and travels on status replies, so the coordinator's
-		// rebalancer can weigh workers by real work, not just routed volume.
-		busyNs atomic.Int64
-		// profileRun mirrors the start message's Profile flag. Written by
-		// the reader before close(started), read by the eval loop after
-		// <-started — the channel close is the happens-before edge.
-		profileRun bool
 	)
+	// broken fails the worker and wakes a turn waiting on the mailbox.
+	broken := func(err error) {
+		f.fail(fmt.Errorf("dist: coordinator connection: %w", err))
+		mbox.close()
+	}
 
 	// Writer: the only goroutine touching the encoder.
 	go func() {
@@ -360,45 +345,39 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 				return
 			}
 			if err := enc.Encode(m.m); err != nil {
-				f.fail(fmt.Errorf("dist: coordinator connection: %w", err))
+				broken(err)
 				return
 			}
 		}
 	}()
 	wq.push(control(wireMsg{Kind: kindJoin, Index: node.Index()}))
 
-	// Reader: decodes the coordinator's stream. Status probes are answered
-	// here, straight from the counters, so heartbeats keep flowing while
-	// the eval loop is deep in a long drain or blocked on credit; credit
-	// grants are applied here for the same reason.
+	// Reader: decodes the coordinator's stream. Heartbeats are answered and
+	// credit grants applied here, so both keep flowing while a turn is deep
+	// in a long drain or blocked on credit. Everything else waits in the
+	// mailbox for the next turn.
 	go func() {
 		dec := gob.NewDecoder(conn)
-		startSeen := false
 		for {
 			var m wireMsg
 			if err := dec.Decode(&m); err != nil {
-				f.fail(fmt.Errorf("dist: coordinator connection: %w", err))
+				broken(err)
 				return
 			}
 			switch m.Kind {
-			case kindStart:
-				if !startSeen {
-					startSeen = true
-					gate.configure(m.Credits, m.CreditBytes)
-					profileRun = m.Profile
-					close(started)
-				}
-			case kindStatus:
-				r := recv.Load()
-				i := idle.Load()
-				s := sent.Load()
-				wq.push(control(wireMsg{Kind: kindStatusReply, Probe: m.Probe, Sent: s, Recv: r, Idle: i, Busy: busyNs.Load()}))
+			case kindPing:
+				wq.push(control(wireMsg{Kind: kindPong}))
 			case kindCredit:
 				gate.release(m.Credits, m.CreditBytes)
-			case kindData, kindAdopt, kindRelease, kindFinish, kindCheckpointReq:
+			case kindStep:
+				if m.Step == 0 {
+					gate.configure(m.Credits, m.CreditBytes)
+				}
+				mbox.push(control(m))
+			case kindData, kindAdopt, kindRelease, kindCheckpointReq, kindFinish:
 				mbox.push(control(m))
 			default:
-				f.fail(fmt.Errorf("dist: unexpected message kind %d", m.Kind))
+				broken(fmt.Errorf("unexpected message kind %d", m.Kind))
 				return
 			}
 		}
@@ -409,13 +388,22 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		<-writerDone
 		return err
 	}
-
-	select {
-	case <-started:
-	case <-f.ch:
-		return fin(f.err)
-	case <-ctx.Done():
-		return fin(ctx.Err())
+	// next takes the mailbox's next message, or the error that ended the
+	// connection.
+	next := func() (wireMsg, error) {
+		qm, ok := mbox.pop()
+		select {
+		case <-f.ch:
+			ok = false
+		default:
+		}
+		if !ok {
+			if err := ctx.Err(); err != nil {
+				return wireMsg{}, err
+			}
+			return wireMsg{}, f.err
+		}
+		return qm.m, nil
 	}
 
 	// Eval loop (this goroutine). nodes maps hosted buckets to their state
@@ -445,7 +433,6 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			if sink := n.Sink(); sink != nil {
 				obs.SpanSend(sink, n.Proc(), n.PeerProc(dest), pred, tuples, span, curParent)
 			}
-			sent.Add(1) // before the batch can reach the wire
 			wq.push(qmsg{m: wireMsg{Kind: kindData, Bucket: dest, From: n.Index(), Pred: pred, Raw: raw, Span: span, Parent: curParent}})
 		}
 		return func(dest int, pred string, b relation.Batch) {
@@ -486,169 +473,133 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		}
 	}
 
+	// turn takes step's turn over msgs, the messages that arrived before
+	// the step message: adopts and releases in arrival order, then each
+	// hosted bucket's batches in sender order, one Node.Turn per bucket in
+	// bucket order, then the checkpoint replies. busy accumulates the
+	// turns' evaluation time, which travels on each stepDone.
 	sink := node.Sink()
-	if profileRun {
-		node.EnableProfile()
+	var busy time.Duration
+	var profileRun bool // step 0's Profile flag
+	hostedBuckets := func() []int {
+		hosted := make([]int, 0, len(nodes))
+		for b := range nodes {
+			hosted = append(hosted, b)
+		}
+		sort.Ints(hosted)
+		return hosted
 	}
-	if sink != nil {
-		sink.WorkerBusy(node.Proc())
-	}
-	begin := time.Now()
-	node.Init(mkEmit(node))
-	if cfg.Dir != "" {
-		// Cold-start recovery: a checkpoint this worker persisted in an
-		// earlier life restores its bucket's derived set from local disk,
-		// so the coordinator need not replay the covered log prefix.
-		// Opportunistic — a missing or damaged file just means starting
-		// from the EDB fragment. Installing a checkpoint is monotone-safe:
-		// it is a subset of the bucket's least model, and draining from
-		// any superset of the EDB converges to the same fixpoint.
-		if _, snap, err := loadCheckpoint(cfg.Dir, node.Index()); err == nil {
-			installed := false
-			_ = wire.DecodeSnapshot(snap, func(pred string, b relation.Batch) error {
-				node.Accept(-1, pred, b)
-				installed = true
+	turn := func(step wireMsg, msgs []wireMsg) error {
+		if step.Step > 0 && len(msgs) == 0 {
+			return nil // nothing arrived: an empty turn
+		}
+		fresh := map[int]bool{}               // buckets whose first turn this is: Init them
+		inbox := map[int][]parallel.Message{} // each bucket's rows and batches, in Accept order
+		parent := map[int]uint64{}            // each bucket's last merged span
+		snapRows := func(bucket int, snap []byte) error {
+			return wire.DecodeSnapshot(snap, func(pred string, b relation.Batch) error {
+				inbox[bucket] = append(inbox[bucket], parallel.Message{From: -1, Pred: pred, Batch: b})
 				return nil
 			})
-			if installed {
-				node.Drain(mkEmit(node))
+		}
+		if step.Step == 0 {
+			if profileRun = step.Profile; profileRun {
+				node.EnableProfile()
 			}
-		}
-	}
-	elapsed := time.Since(begin)
-	node.RecordBusy(elapsed)
-	busyNs.Add(int64(elapsed))
-	if sink != nil {
-		sink.WorkerIdle(node.Proc())
-	}
-	idle.Store(true)
-
-	for {
-		msgs := mbox.takeAll()
-		if len(msgs) == 0 {
-			select {
-			case <-mbox.notify:
-				continue
-			case <-f.ch:
-				return fin(f.err)
-			case <-ctx.Done():
-				return fin(ctx.Err())
-			}
-		}
-
-		idle.Store(false)
-		if sink != nil {
-			sink.WorkerBusy(node.Proc())
-		}
-		begin = time.Now()
-		finish := false
-		touched := map[int]bool{}
-		var ckptReqs []wireMsg
-		for _, qm := range msgs {
-			m := qm.m
-			switch m.Kind {
-			case kindData:
-				// recv counts the batch even when its bucket is hosted
-				// elsewhere (a stale message for a recovered bucket can
-				// never reach here — the coordinator routes by current
-				// owner — but defensiveness costs nothing), keeping the
-				// coordinator's delivered/recv ledger balanced.
-				if n := nodes[m.Bucket]; n != nil {
-					b, err := wire.DecodeFlat(m.Raw)
-					if err != nil {
-						return fin(fmt.Errorf("dist: data batch for bucket %d: %w", m.Bucket, err))
-					}
-					if m.Span != 0 {
-						if sink := n.Sink(); sink != nil {
-							obs.SpanRecv(sink, n.Proc(), n.PeerProc(m.From), m.Pred, b.N, m.Span, m.Parent)
-						}
-						// Derivations from the coming drain are caused by
-						// this batch (the last merged wins when a drain
-						// covers several — a linearization, not a loss).
-						curParent = m.Span
-					}
-					n.Accept(m.From, m.Pred, b)
-					touched[m.Bucket] = true
+			fresh[node.Index()] = true
+			if cfg.Dir != "" {
+				// Cold-start recovery: a checkpoint this worker persisted
+				// in an earlier life restores its bucket's derived set
+				// from local disk, so the coordinator need not replay the
+				// covered log prefix. Opportunistic — a missing or damaged
+				// file just means starting from the EDB fragment.
+				// Installing a checkpoint is monotone-safe: it is a subset
+				// of the bucket's least model, and draining from any
+				// superset of the EDB converges to the same fixpoint.
+				if _, snap, err := loadCheckpoint(cfg.Dir, node.Index()); err == nil {
+					_ = snapRows(node.Index(), snap)
 				}
-				recv.Add(1)
+			}
+		}
+		var data, ckptReqs []wireMsg
+		for _, m := range msgs {
+			switch m.Kind {
 			case kindAdopt:
 				if cfg.NewNode == nil {
-					return fin(fmt.Errorf("dist: asked to adopt bucket %d but no node factory configured", m.Bucket))
+					return fmt.Errorf("dist: asked to adopt bucket %d but no node factory configured", m.Bucket)
 				}
 				n := cfg.NewNode(m.Bucket)
 				if profileRun {
 					n.EnableProfile()
 				}
-				nodes[m.Bucket] = n
-				// Init replays the bucket's initialization step: the EDB
-				// fragment is rebuilt locally and its initial derivations
-				// re-sent (receivers drop what they already hold). The
-				// adopt message then carries the bucket's last accepted
-				// checkpoint; installing it restores every derived tuple
+				// The bucket's turn Inits it, replaying its
+				// initialization step: the EDB fragment is rebuilt locally
+				// and its initial derivations re-sent (receivers drop what
+				// they already hold). It then installs the bucket's last
+				// accepted checkpoint, which restores every derived tuple
 				// the truncated log prefix would have delivered, and the
-				// suffix the coordinator replays next completes the
-				// history.
-				nb := time.Now()
-				n.Init(mkEmit(n))
-				// Under LocalCheckpoints the adopt message carries only the
-				// checkpoint's checksum; the blob itself is on this
+				// suffix the coordinator replays behind the adopt completes
+				// the history. Under LocalCheckpoints the adopt carries
+				// only the checkpoint's checksum; the blob is on this
 				// machine's disk, persisted by the bucket's previous owner.
-				snap, rerr := resolveAdoptSnap(cfg.Dir, m)
-				if rerr != nil {
-					return fin(rerr)
-				}
-				// The snapshot decodes in ascending predicate order — the
-				// deterministic install sequence is baked into the encoding.
-				err := wire.DecodeSnapshot(snap, func(pred string, b relation.Batch) error {
-					n.Accept(-1, pred, b)
-					return nil
-				})
+				snap, err := resolveAdoptSnap(cfg.Dir, m)
 				if err != nil {
-					return fin(fmt.Errorf("dist: adopt snapshot for bucket %d: %w", m.Bucket, err))
+					return err
 				}
-				if wire.SnapshotTuples(snap) > 0 {
-					touched[m.Bucket] = true
+				nodes[m.Bucket], fresh[m.Bucket], inbox[m.Bucket] = n, true, nil
+				if err := snapRows(m.Bucket, snap); err != nil {
+					return fmt.Errorf("dist: adopt snapshot for bucket %d: %w", m.Bucket, err)
 				}
-				ne := time.Since(nb)
-				n.RecordBusy(ne)
-				busyNs.Add(int64(ne))
 			case kindRelease:
-				// The bucket migrated to another worker: drop its node. Any
-				// straggler data batches routed before the coordinator
-				// flipped the owner land in the nil-node branch above —
-				// counted for the ledger, contents discarded (the new owner
-				// receives the same batches via log replay).
+				// The bucket migrated to another worker: drop its node.
+				// Its batches below are discarded; the new owner receives
+				// the same batches via log replay.
 				delete(nodes, m.Bucket)
-			case kindFinish:
-				finish = true
 			case kindCheckpointReq:
 				ckptReqs = append(ckptReqs, m)
+			case kindData:
+				data = append(data, m)
 			}
 		}
-		buckets := make([]int, 0, len(touched))
-		for b := range touched {
-			buckets = append(buckets, b)
+		if sink != nil {
+			sink.WorkerBusy(node.Proc())
 		}
-		sort.Ints(buckets)
-		for _, b := range buckets {
-			n := nodes[b]
+		// Sender order, as at the in-process barrier; one sender's batches
+		// keep the order it sent them in.
+		sort.SliceStable(data, func(i, j int) bool { return data[i].From < data[j].From })
+		for _, m := range data {
+			n := nodes[m.Bucket]
 			if n == nil {
-				continue // released later in the same mailbox batch
+				continue
 			}
-			nb := time.Now()
-			n.Drain(mkEmit(n))
-			ne := time.Since(nb)
-			n.RecordBusy(ne)
-			busyNs.Add(int64(ne))
+			b, err := wire.DecodeFlat(m.Raw)
+			if err != nil {
+				return fmt.Errorf("dist: data batch for bucket %d: %w", m.Bucket, err)
+			}
+			if m.Span != 0 {
+				if sink := n.Sink(); sink != nil {
+					obs.SpanRecv(sink, n.Proc(), n.PeerProc(m.From), m.Pred, b.N, m.Span, m.Parent)
+				}
+				parent[m.Bucket] = m.Span
+			}
+			inbox[m.Bucket] = append(inbox[m.Bucket], parallel.Message{From: m.From, Pred: m.Pred, Batch: b})
 		}
-		// Checkpoint replies are taken at this rest point — after the
-		// drain, so the snapshot reflects every batch processed so far —
-		// and bypass the data credit (they shrink coordinator memory, so
-		// throttling them would invert the backpressure).
+		for _, b := range hostedBuckets() {
+			if fresh[b] || len(inbox[b]) > 0 {
+				// The turn's derivations are caused by the bucket's last
+				// merged batch (a linearization, not a loss).
+				curParent = parent[b]
+				busy += nodes[b].Turn(fresh[b], inbox[b], mkEmit(nodes[b]))
+			}
+		}
+		// Checkpoint replies are taken after the turns, so a snapshot
+		// covers every batch logged before its request, and bypass the
+		// data credit (they shrink coordinator memory, so throttling them
+		// would invert the backpressure).
 		for _, req := range ckptReqs {
 			n := nodes[req.Bucket]
 			if n == nil {
-				continue // stale request for a bucket this worker never hosted
+				continue // stale request for a bucket this worker no longer hosts
 			}
 			snap := wire.AppendSnapshot(nil, n.Snapshot())
 			if cfg.Dir != "" {
@@ -669,28 +620,38 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		if sink != nil {
 			sink.WorkerIdle(node.Proc())
 		}
-
-		if finish {
-			out := wireMsg{Kind: kindOutput, Index: node.Index()}
-			hosted := make([]int, 0, len(nodes))
-			for b := range nodes {
-				hosted = append(hosted, b)
-			}
-			sort.Ints(hosted)
-			// Each node ships its home sets, or else only the tuples it
-			// generated: the received rows were generated, and are
-			// shipped, elsewhere.
-			for _, b := range hosted {
-				n := nodes[b]
-				out.Stats = append(out.Stats, n.Stats())
-				out.Profiles = append(out.Profiles, n.Profile()...)
-				n.Output(func(pred string, home bool, fb relation.Batch) {
-					out.Out = append(out.Out, outBatch{Bucket: b, Pred: pred, Home: home, Raw: wire.AppendFlat(nil, fb)})
-				})
-			}
-			wq.push(control(out))
-			return fin(nil)
-		}
-		idle.Store(true)
+		return nil
 	}
+
+	for {
+		var msgs []wireMsg
+		m, err := next()
+		for ; err == nil && m.Kind != kindStep && m.Kind != kindFinish; m, err = next() {
+			msgs = append(msgs, m)
+		}
+		if err != nil {
+			return fin(err)
+		}
+		if m.Kind == kindFinish {
+			break
+		}
+		if err := turn(m, msgs); err != nil {
+			return fin(err)
+		}
+		wq.push(control(wireMsg{Kind: kindStepDone, Step: m.Step, Busy: int64(busy)}))
+	}
+
+	// Each node ships its home sets, or else only the tuples it generated:
+	// the received rows were generated, and are shipped, elsewhere.
+	out := wireMsg{Kind: kindOutput, Index: node.Index()}
+	for _, b := range hostedBuckets() {
+		n := nodes[b]
+		out.Stats = append(out.Stats, n.Stats())
+		out.Profiles = append(out.Profiles, n.Profile()...)
+		n.Output(func(pred string, home bool, fb relation.Batch) {
+			out.Out = append(out.Out, outBatch{Bucket: b, Pred: pred, Home: home, Raw: wire.AppendFlat(nil, fb)})
+		})
+	}
+	wq.push(control(out))
+	return fin(nil)
 }

@@ -48,8 +48,9 @@ type EventSink interface {
 	WorkerIdle(proc int)
 	// TermProbe reports one probe of the termination detector: the
 	// detector name, a probe sequence number, and whether the system was
-	// found quiescent. The in-process engines report one final probe,
-	// "superstep", whose number is the count of supersteps run.
+	// found quiescent. Every parallel engine, in process or over TCP,
+	// reports one final probe, "superstep", whose number is the count of
+	// supersteps run.
 	TermProbe(detector string, probe int, quiesced bool)
 	// HeartbeatMiss reports that processor proc has been silent for
 	// misses consecutive heartbeat intervals without yet being declared

@@ -334,6 +334,34 @@ func (n *Node) Accept(from int, pred string, b relation.Batch) {
 	}
 }
 
+// Message is one batch of tuples of one predicate, sent by the processor
+// of dense index From (-1 for a checkpoint's rows).
+type Message struct {
+	From  int
+	Pred  string
+	Batch relation.Batch
+}
+
+// Turn is the node's turn in one superstep, the unit both transports
+// schedule: Init first when init is set (the node's first superstep),
+// then, if the inbox holds anything, Accept each message in order and
+// Drain once. It adds the time taken to Busy and returns it.
+func (n *Node) Turn(init bool, inbox []Message, emit EmitFunc) time.Duration {
+	begin := time.Now()
+	if init {
+		n.Init(emit)
+	}
+	if len(inbox) > 0 {
+		for _, m := range inbox {
+			n.Accept(m.From, m.Pred, m.Batch)
+		}
+		n.Drain(emit)
+	}
+	d := time.Since(begin)
+	n.RecordBusy(d)
+	return d
+}
+
 // Drain runs local semi-naive iterations until no new tuples appear,
 // flushing outgoing batches after each iteration (the paper's per-iteration
 // send step).

@@ -92,11 +92,10 @@ type Result struct {
 	Profile *seminaive.Profile
 }
 
-// message is a batch of tuples of one predicate sent over one channel.
-type message struct {
-	from, to int // dense worker indexes
-	pred     string
-	batch    relation.Batch
+// addressed is a Message on its way to the dense worker index to.
+type addressed struct {
+	to int
+	Message
 }
 
 // PrepareEDB merges the program's embedded facts with the caller's base
@@ -214,8 +213,8 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 
 	// Worker wi alone writes outbox[wi] during a superstep; inbox[wi] is
 	// read-only until the barrier.
-	inbox := make([][]message, n)
-	outbox := make([][]message, n)
+	inbox := make([][]Message, n)
+	outbox := make([][]addressed, n)
 	copies := 1
 	if cfg.ChaosDuplicate {
 		copies = 2
@@ -233,7 +232,7 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 				if cfg.Sink != nil {
 					cfg.Sink.MessageSent(ids[wi], ids[dest], pred, b.N)
 				}
-				outbox[wi] = append(outbox[wi], message{from: wi, to: dest, pred: pred, batch: b})
+				outbox[wi] = append(outbox[wi], addressed{dest, Message{From: wi, Pred: pred, Batch: b}})
 			}
 		}
 	}
@@ -242,16 +241,7 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 			if cfg.Sink != nil {
 				cfg.Sink.WorkerBusy(ids[wi])
 			}
-			begin := time.Now()
-			if init {
-				nodes[wi].Init(emits[wi])
-			} else {
-				for _, m := range inbox[wi] {
-					nodes[wi].Accept(m.from, m.pred, m.batch)
-				}
-				nodes[wi].Drain(emits[wi])
-			}
-			nodes[wi].RecordBusy(time.Since(begin))
+			nodes[wi].Turn(init, inbox[wi], emits[wi])
 			if cfg.Sink != nil {
 				cfg.Sink.WorkerIdle(ids[wi])
 			}
@@ -276,10 +266,10 @@ func supersteps(p *Program, edb relation.Store, cfg RunConfig, engine string, ru
 		}
 		runTurns(turns)
 		// The barrier: deliver each sender's batches in sender order.
-		inbox = make([][]message, n)
+		inbox = make([][]Message, n)
 		for wi, msgs := range outbox {
 			for _, m := range msgs {
-				inbox[m.to] = append(inbox[m.to], m)
+				inbox[m.to] = append(inbox[m.to], m.Message)
 			}
 			outbox[wi] = nil
 		}

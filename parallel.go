@@ -286,15 +286,17 @@ func listingsOf(rw *rewrite.Rewritten, err error) (map[int]string, error) {
 
 // EvalDistributed is EvalParallel over real message passing: every processor
 // is a TCP endpoint (loopback sockets within this process), no memory is
-// shared between processors, and termination is detected by Mattern-style
-// counter waves over the coordinator's star — the paper's non-shared-memory
-// architecture taken literally. The runtime is fault tolerant: worker
-// deaths are detected by heartbeat (see EvalOptions.HeartbeatInterval and
-// WorkerDeadline) and survived by hash-bucket recovery, and failures
-// surface as errors testing true with errors.Is against ErrWorkerLost or
-// ErrTimeout. Topology restriction is not supported on this transport. A
-// nil ctx means no cancellation. Equivalent to Eval with
-// EvalOptions.Engine = EngineDistributed.
+// shared between processors, and the processors run EvalParallel's
+// supersteps with the coordinator's star as the barrier — the paper's
+// non-shared-memory architecture taken literally. The run ends at the first
+// barrier with nothing in flight, so no termination detector is needed, and
+// with no fault every per-processor counter but Busy equals EvalParallel's.
+// The runtime is fault tolerant: worker deaths are detected by heartbeat
+// (see EvalOptions.HeartbeatInterval and WorkerDeadline) and survived by
+// hash-bucket recovery, and failures surface as errors testing true with
+// errors.Is against ErrWorkerLost or ErrTimeout. Topology restriction is
+// not supported on this transport. A nil ctx means no cancellation.
+// Equivalent to Eval with EvalOptions.Engine = EngineDistributed.
 func EvalDistributed(ctx context.Context, p *Program, edb Store, opts EvalOptions) (*Result, error) {
 	opts.Engine = EngineDistributed
 	return eval(ctx, p, edb, opts)
@@ -335,7 +337,6 @@ func evalDistributed(ctx context.Context, p *Program, edb Store, opts EvalOption
 			MaxMigrations: opts.Rebalance.MaxMigrations,
 			MinVolume:     opts.Rebalance.MinVolume,
 		},
-		WavePoll:           opts.PollInterval,
 		HeartbeatInterval:  opts.HeartbeatInterval,
 		WorkerDeadline:     opts.WorkerDeadline,
 		MaxRetries:         opts.MaxRetries,

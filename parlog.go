@@ -261,12 +261,6 @@ type EvalOptions struct {
 	HashBits BitFunc
 	// Procs lists processor ids for HashBits runs.
 	Procs []int
-	// PollInterval is the distributed coordinator's termination-wave
-	// period; 0 picks the default. Only EngineDistributed reads it: the
-	// in-process engine ends at its first superstep barrier with nothing
-	// in flight.
-	PollInterval time.Duration
-
 	// MaxRetries bounds a distributed worker's connect attempts, retried
 	// with exponential backoff and jitter (default 5). EngineDistributed
 	// only.

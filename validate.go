@@ -42,9 +42,6 @@ func (o EvalOptions) Validate() error {
 	if o.Locality < 0 || o.Locality > 1 {
 		return badOptions("Locality must be in [0,1], got %g", o.Locality)
 	}
-	if o.PollInterval < 0 {
-		return badOptions("PollInterval must be non-negative, got %v", o.PollInterval)
-	}
 
 	if o.Engine != EngineDistributed {
 		// The fault-tolerance and flow-control knobs configure the TCP

@@ -44,7 +44,6 @@ func TestValidate(t *testing.T) {
 		{"naive parallel", EvalOptions{Engine: EngineParallel, Naive: true}},
 		{"negative iterations", EvalOptions{MaxIterations: -1}},
 		{"locality out of range", EvalOptions{Engine: EngineParallel, Locality: 1.5}},
-		{"negative poll", EvalOptions{Engine: EngineParallel, PollInterval: -time.Second}},
 		{"retries on sequential", EvalOptions{MaxRetries: 3}},
 		{"heartbeat on parallel", EvalOptions{Engine: EngineParallel, HeartbeatInterval: time.Second}},
 		{"queue bytes on parallel", EvalOptions{Engine: EngineParallel, MaxQueueBytes: 1024}},
