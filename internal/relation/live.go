@@ -49,17 +49,8 @@ func (r *Relation) LookupRow(t Tuple) int {
 	if len(t) != r.arity {
 		return -1
 	}
-	i := hashVals(t) & r.mask
-	for {
-		s := r.table[i]
-		if s == 0 {
-			return -1
-		}
-		if r.rowEqual(int(s-1), t) {
-			return int(s - 1)
-		}
-		i = (i + 1) & r.mask
-	}
+	_, row := r.find(t, hashVals(t))
+	return row
 }
 
 // InsertDelta adds delta (> 0) to t's derivation count in counted mode,
@@ -77,28 +68,19 @@ func (r *Relation) InsertDelta(t Tuple, delta int32) (int, bool) {
 	if delta <= 0 {
 		panic("relation: InsertDelta requires a positive delta")
 	}
-	i := hashVals(t) & r.mask
-	for {
-		s := r.table[i]
-		if s == 0 {
-			break
+	h := hashVals(t)
+	i, row := r.find(t, h)
+	if row >= 0 {
+		if r.counts[row] > 0 {
+			r.counts[row] += delta
+			return row, false
 		}
-		if row := int(s - 1); r.rowEqual(row, t) {
-			if r.counts[row] > 0 {
-				r.counts[row] += delta
-				return row, false
-			}
-			// Rebirth: supersede the dead row, append a fresh one, repoint.
-			r.counts[row] = countSuperseded
-			row = r.appendRow(t, delta)
-			r.table[i] = int32(row + 1)
-			r.maybeGrow()
-			return row, true
-		}
-		i = (i + 1) & r.mask
+		// Rebirth: supersede the dead row; the fresh one below repoints
+		// its slot.
+		r.counts[row] = countSuperseded
 	}
-	row := r.appendRow(t, delta)
-	r.table[i] = int32(row + 1)
+	row = r.appendRow(t, delta)
+	r.table[i] = slot(row, h, r.mask)
 	r.maybeGrow()
 	return row, true
 }
@@ -165,7 +147,7 @@ func (r *Relation) Compact() *Relation {
 			arity: r.arity,
 			data:  r.data[:end:end],
 			n:     r.n,
-			table: append([]int32(nil), r.table...),
+			table: append([]uint32(nil), r.table...),
 			mask:  r.mask,
 		}
 	}

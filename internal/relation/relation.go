@@ -9,16 +9,19 @@
 // Storage layout. A relation of arity k keeps all tuples in one flat
 // []ast.Value arena, row i occupying data[i*k : (i+1)*k]. Insert appends
 // into the arena — the only allocations are the amortized arena/table
-// growths. Duplicate elimination is an open-addressing hash table of row
-// ids probing FNV-1a hashes computed directly from the arena; no string
-// keys are ever materialized. Indexes bucket rows by a column subset into
-// runs of a shared []int32 postings arena (see Index). Values are immutable
+// growths. Duplicate elimination is an open-addressing hash table of 4-byte
+// slots, each packing a row id with hash bits (a tag) that settle most
+// misses without reading the arena (see slot). The hash is computed
+// directly from the values, a word at a time, so no string keys are ever
+// materialized. Indexes bucket rows by a column subset into runs of a
+// shared []int32 postings arena (see Index). Values are immutable
 // once written, so slices into an old arena backing array remain valid
 // after growth — callers may hold Row results across later Inserts.
 package relation
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -95,30 +98,29 @@ func (b Batch) Tuples() []Tuple {
 	return out
 }
 
-// FNV-1a over the little-endian bytes of each value. Matches the classic
-// 64-bit parameters; kept byte-at-a-time so the hash equals hashing the
-// Tuple.Key encoding.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
+// The dedup table's and the indexes' hash folds in one value per multiply
+// by Knuth's multiplicative constant, 2^64/φ. A multiply carries a value's
+// bits only upward, so hashFinish rotates the high half, which every value
+// reached, into the low bits the tables index with; on the dense small
+// constants interning hands out, consecutive values then land in distinct
+// slots, as in Fibonacci hashing. It is not hashpart's FNV-1a: nothing
+// outside this package sees it, and no encoding has to hash alike.
+const hashMul uint64 = 0x9e3779b97f4a7c15
 
 // hashVal folds one value into h.
 func hashVal(h uint64, v ast.Value) uint64 {
-	u := uint32(v)
-	h = (h ^ uint64(u&0xff)) * fnvPrime
-	h = (h ^ uint64((u>>8)&0xff)) * fnvPrime
-	h = (h ^ uint64((u>>16)&0xff)) * fnvPrime
-	h = (h ^ uint64(u>>24)) * fnvPrime
-	return h
+	return (h ^ uint64(uint32(v))) * hashMul
 }
 
+// hashFinish makes the folded hash's low bits depend on every value.
+func hashFinish(h uint64) uint64 { return bits.RotateLeft64(h, 32) }
+
 func hashVals(vals []ast.Value) uint64 {
-	h := fnvOffset
+	var h uint64
 	for _, v := range vals {
 		h = hashVal(h, v)
 	}
-	return h
+	return hashFinish(h)
 }
 
 // Relation is a duplicate-free, append-only set of equal-arity tuples.
@@ -129,7 +131,7 @@ type Relation struct {
 	arity int
 	data  []ast.Value // flat arena: row i is data[i*arity:(i+1)*arity]
 	n     int         // number of rows
-	table []int32     // open addressing: row id + 1, 0 = empty
+	table []uint32    // open addressing, 0 = empty; see slot
 	mask  uint64      // len(table) - 1
 
 	// counts is the optional annotation column of counted mode (see
@@ -153,8 +155,38 @@ const initialTableSize = 16
 func New(arity int) *Relation {
 	return &Relation{
 		arity: arity,
-		table: make([]int32, initialTableSize),
+		table: make([]uint32, initialTableSize),
 		mask:  initialTableSize - 1,
+	}
+}
+
+// slot packs row into a dedup-table entry for a table of mask+1 slots: the
+// low bits (those of mask) hold row+1, the rest hold the same bits of the
+// row's hash h, its tag. The table grows before it is 3/4 full and counts
+// every physical row, so each row id is below len(table) and row+1 fits
+// under mask. The tag bits lie above the bits that pick the home slot, so
+// two rows sharing a probe run mostly differ in tag: a probe compares the
+// tag first and reads the arena only when it matches.
+func slot(row int, h uint64, mask uint64) uint32 {
+	return uint32(h)&^uint32(mask) | uint32(row+1)
+}
+
+// find probes the dedup table for t, whose hash is h. It returns the slot
+// holding t and its row, or, when t is absent, the empty slot where the
+// probe ended and row -1.
+func (r *Relation) find(t []ast.Value, h uint64) (i uint64, row int) {
+	m := uint32(r.mask)
+	tag := uint32(h) &^ m
+	for i = h & r.mask; ; i = (i + 1) & r.mask {
+		s := r.table[i]
+		if s == 0 {
+			return i, -1
+		}
+		if s&^m == tag {
+			if row := int(s&m) - 1; r.rowEqual(row, t) {
+				return i, row
+			}
+		}
 	}
 }
 
@@ -190,8 +222,9 @@ func (r *Relation) row(i int) Tuple {
 // rowEqual compares row i against t (len(t) == arity).
 func (r *Relation) rowEqual(i int, t []ast.Value) bool {
 	base := i * r.arity
+	row := r.data[base : base+len(t)]
 	for j, v := range t {
-		if r.data[base+j] != v {
+		if row[j] != v {
 			return false
 		}
 	}
@@ -201,11 +234,7 @@ func (r *Relation) rowEqual(i int, t []ast.Value) bool {
 // hashRow hashes row i straight from the arena.
 func (r *Relation) hashRow(i int) uint64 {
 	base := i * r.arity
-	h := fnvOffset
-	for j := 0; j < r.arity; j++ {
-		h = hashVal(h, r.data[base+j])
-	}
-	return h
+	return hashVals(r.data[base : base+r.arity])
 }
 
 // Insert adds t if not present, reporting whether it was new. The values are
@@ -237,21 +266,15 @@ func (r *Relation) InsertRow(t Tuple) (row int, fresh bool) {
 	if r.counts != nil {
 		panic("relation: InsertRow on a counted relation")
 	}
-	i := hashVals(t) & r.mask
-	for {
-		s := r.table[i]
-		if s == 0 {
-			break
-		}
-		if r.rowEqual(int(s-1), t) {
-			return int(s - 1), false
-		}
-		i = (i + 1) & r.mask
+	h := hashVals(t)
+	i, row := r.find(t, h)
+	if row >= 0 {
+		return row, false
 	}
 	row = r.n
 	r.data = append(r.data, t...)
 	r.n++
-	r.table[i] = int32(row + 1)
+	r.table[i] = slot(row, h, r.mask)
 	if uint64(r.n)*4 >= uint64(len(r.table))*3 {
 		r.growTable()
 	}
@@ -265,17 +288,18 @@ func (r *Relation) growTable() { r.rehash(len(r.table) * 2) }
 // every row from the arena. Superseded rows (counted mode) are skipped:
 // only the canonical physical row of each tuple lives in the table.
 func (r *Relation) rehash(size int) {
-	nt := make([]int32, size)
+	nt := make([]uint32, size)
 	mask := uint64(size - 1)
 	for row := 0; row < r.n; row++ {
 		if r.counts != nil && r.counts[row] == countSuperseded {
 			continue
 		}
-		i := r.hashRow(row) & mask
+		h := r.hashRow(row)
+		i := h & mask
 		for nt[i] != 0 {
 			i = (i + 1) & mask
 		}
-		nt[i] = int32(row + 1)
+		nt[i] = slot(row, h, mask)
 	}
 	r.table = nt
 	r.mask = mask
@@ -348,11 +372,12 @@ func (r *Relation) AppendDisjointVals(k int, fill func(vals []ast.Value) error) 
 // must already have room for them (Grow).
 func (r *Relation) hashAppended(k int) {
 	for row := r.n; row < r.n+k; row++ {
-		i := r.hashRow(row) & r.mask
+		h := r.hashRow(row)
+		i := h & r.mask
 		for r.table[i] != 0 {
 			i = (i + 1) & r.mask
 		}
-		r.table[i] = int32(row + 1)
+		r.table[i] = slot(row, h, r.mask)
 	}
 	r.n += k
 }
@@ -374,17 +399,8 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	i := hashVals(t) & r.mask
-	for {
-		s := r.table[i]
-		if s == 0 {
-			return false
-		}
-		if r.rowEqual(int(s-1), t) {
-			return r.counts == nil || r.counts[s-1] > 0
-		}
-		i = (i + 1) & r.mask
-	}
+	_, row := r.find(t, hashVals(t))
+	return row >= 0 && (r.counts == nil || r.counts[row] > 0)
 }
 
 // Rows returns the current rows as tuple headers into the arena. The result
@@ -425,12 +441,13 @@ func (r *Relation) Clone() *Relation {
 		arity: r.arity,
 		data:  append([]ast.Value(nil), r.data...),
 		n:     r.n,
-		table: append([]int32(nil), r.table...),
+		table: append([]uint32(nil), r.table...),
 		mask:  r.mask,
 		junk:  r.junk,
 	}
 	if r.counts != nil {
-		out.counts = append([]int32(nil), r.counts...)
+		// Not append to nil: an empty counted relation clones counted.
+		out.counts = append(make([]int32, 0, len(r.counts)), r.counts...)
 	}
 	return out
 }
@@ -589,11 +606,11 @@ func newIndex(r *Relation, cols []int) *Index {
 // rowHash hashes the indexed columns of row straight from the arena.
 func (ix *Index) rowHash(row int) uint64 {
 	base := row * ix.rel.arity
-	h := fnvOffset
+	var h uint64
 	for _, c := range ix.cols {
 		h = hashVal(h, ix.rel.data[base+c])
 	}
-	return h
+	return hashFinish(h)
 }
 
 // keyEqualRow reports whether row's indexed columns equal entry e's key.

@@ -304,6 +304,35 @@ func BenchmarkInsertDistinct(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertDup times inserts under the traffic of the tc workloads,
+// where two of every three inserts find their tuple already stored: each of
+// 2^16 rows is inserted three times, in a shuffled order, and the relation
+// starts empty again after every 3·2^16 inserts. The insert order is one
+// flat run of values, so reading the next tuple costs no cache miss of its
+// own.
+func BenchmarkInsertDup(b *testing.B) {
+	const distinct = 1 << 16
+	order := make([]int, 3*distinct)
+	for i := range order {
+		order[i] = i / 3
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	seq := make([]ast.Value, 0, 2*len(order))
+	for _, i := range order {
+		seq = append(seq, ast.Value(i%300), ast.Value(i/300))
+	}
+	var r *Relation
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(order)
+		if k == 0 {
+			r = New(2)
+		}
+		r.Insert(seq[2*k : 2*k+2])
+	}
+}
+
 func BenchmarkIndexProbe(b *testing.B) {
 	r := New(2)
 	for i := 0; i < 10000; i++ {

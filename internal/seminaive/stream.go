@@ -11,13 +11,14 @@ import (
 // Query hand tuples out one at a time; Enumerate is a loop over it.
 //
 // Every join level keeps its state inline (see level), so a drain allocates
-// only the cursor's two buffers. The store must not lose relations while
-// the cursor is live; inserts are fine — a level captures its row bounds
-// when it opens, and rows inserted later lie beyond them.
+// only the cursor's two buffers. The cursor resolves each level's relation
+// and watermark window when it opens, so the store must neither gain nor
+// lose the plan's relations while the cursor is live; inserts are fine — a
+// level captures its row bounds when it opens, and rows inserted later lie
+// beyond them.
 type Cursor struct {
 	p     *Plan
 	store relation.Store
-	w     *Watermarks
 
 	vals    []ast.Value
 	scratch []ast.Value // index key, constraint arguments or negation probe
@@ -32,14 +33,22 @@ type Cursor struct {
 	prof *planProfile
 }
 
-// level is one join position's suspended state: the relation it reads and
-// either the captured postings run of an index probe (the atom has bound
-// columns) or the scan window [next, hi) (it has none). rel is nil when the
-// level has nothing to read.
+// level is one join position: what the cursor resolved for it when it
+// opened, and its suspended state, either the captured postings run of an
+// index probe (the atom has bound columns) or the scan window [next, end)
+// (it has none).
 type level struct {
-	rel      *relation.Relation
-	run      []int32
-	next, hi int
+	// rel is the atom's relation, nil when the store has none; ix is its
+	// index on the bound columns, taken when the level first opens on a
+	// non-empty window. [lo, hi) is the watermark window; hi < 0 means the
+	// predicate has none, and the level reads every row present when it
+	// opens.
+	rel    *relation.Relation
+	ix     *relation.Index
+	lo, hi int
+
+	run       []int32
+	next, end int
 }
 
 // Stream opens a cursor over the plan's enumeration under watermarks w
@@ -50,17 +59,25 @@ func (p *Plan) Stream(store relation.Store, w *Watermarks) *Cursor {
 	return c
 }
 
-// open readies c to enumerate p.
+// open readies c to enumerate p, resolving each level's relation and
+// watermark window.
 func (c *Cursor) open(p *Plan, store relation.Store, w *Watermarks) {
 	buf := make([]ast.Value, len(p.slotOf)+p.scratch)
 	*c = Cursor{
 		p:       p,
 		store:   store,
-		w:       w,
 		vals:    buf[:len(p.slotOf):len(p.slotOf)],
 		scratch: buf[len(p.slotOf):],
 		levels:  make([]level, len(p.atoms)),
 		prof:    p.prof,
+	}
+	for k := range p.atoms {
+		ae := &p.atoms[k]
+		l := &c.levels[k]
+		l.rel = store[ae.pred]
+		// n = -1: a predicate without a watermark reads up to NumRows
+		// whenever its level opens.
+		l.lo, l.hi = w.bounds(ae.pred, ae.kind, -1)
 	}
 }
 
@@ -114,22 +131,23 @@ func (c *Cursor) Next() bool {
 // restricted to the atom's semi-naive range.
 func (c *Cursor) openLevel(k int) {
 	l := &c.levels[k]
-	*l = level{}
-	ae := &c.p.atoms[k]
-	rel, ok := c.store[ae.pred]
-	if !ok || rel.Len() == 0 {
+	l.run, l.next, l.end = nil, 0, 0
+	if l.rel == nil || l.rel.Len() == 0 {
 		return
 	}
-	lo, hi := c.w.bounds(ae.pred, ae.kind, rel.NumRows())
+	lo, hi := l.lo, l.hi
+	if hi < 0 {
+		hi = l.rel.NumRows()
+	}
 	if lo >= hi {
 		return
 	}
 	if c.prof != nil {
 		c.prof.atoms[k].Probes++
 	}
-	l.rel = rel
+	ae := &c.p.atoms[k]
 	if len(ae.boundCols) == 0 {
-		l.next, l.hi = lo, hi
+		l.next, l.end = lo, hi
 		return
 	}
 	key := c.scratch[:len(ae.boundSrc)]
@@ -140,7 +158,10 @@ func (c *Cursor) openLevel(k int) {
 			key[i] = src.value
 		}
 	}
-	l.run = rel.IndexOn(ae.boundCols...).Probe(key, lo, hi)
+	if l.ix == nil {
+		l.ix = l.rel.IndexOn(ae.boundCols...)
+	}
+	l.run = l.ix.Probe(key, lo, hi)
 }
 
 // advance pulls live rows at level k until one satisfies the atom's check
@@ -148,9 +169,6 @@ func (c *Cursor) openLevel(k int) {
 // the level is exhausted.
 func (c *Cursor) advance(k int) bool {
 	l := &c.levels[k]
-	if l.rel == nil {
-		return false
-	}
 	ae := &c.p.atoms[k]
 	probe := len(ae.boundCols) > 0
 	var pa *AtomProfile
@@ -166,7 +184,7 @@ func (c *Cursor) advance(k int) bool {
 			row = int(l.run[0])
 			l.run = l.run[1:]
 		} else {
-			if l.next >= l.hi {
+			if l.next >= l.end {
 				return false
 			}
 			row = l.next

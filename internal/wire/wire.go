@@ -17,6 +17,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"parlog/internal/ast"
@@ -41,8 +43,18 @@ func AppendFlat(dst []byte, b relation.Batch) []byte {
 	if b.N == 0 {
 		return appendHeader(dst, 0, 0)
 	}
-	return appendValues(appendHeader(dst, b.N, b.Arity), b.Vals[:b.N*b.Arity])
+	vals := b.Vals[:b.N*b.Arity]
+	// Grow dst once to the exact encoded length: a whole relation's output
+	// would otherwise be copied at every doubling.
+	n := uvarintLen(uint64(b.N)) + uvarintLen(uint64(b.Arity))
+	for _, v := range vals {
+		n += uvarintLen(uint64(uint32(v)))
+	}
+	return appendValues(appendHeader(slices.Grow(dst, n), b.N, b.Arity), vals)
 }
+
+// uvarintLen is the length of x's unsigned varint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // AppendBatch is AppendFlat for rows held as tuple headers, all of one
 // arity.

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math/rand"
 	"reflect"
@@ -87,6 +88,28 @@ func TestFlatRoundTrip(t *testing.T) {
 	// A zero-arity header may not claim more tuples than it has bytes.
 	if _, err := DecodeFlat([]byte{0xff, 0xff, 0x03, 0x00}); err == nil {
 		t.Fatal("zero-arity batch claiming 65535 tuples in 4 bytes accepted")
+	}
+}
+
+// TestAppendFlatSizesExactly: AppendFlat sizes its growth to the exact
+// encoded length, so a destination with exactly that much spare capacity
+// is written in place, and uvarintLen agrees with the encoder at every
+// varint length boundary.
+func TestAppendFlatSizesExactly(t *testing.T) {
+	for _, x := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<32 - 1} {
+		if got, want := uvarintLen(x), len(binary.AppendUvarint(nil, x)); got != want {
+			t.Errorf("uvarintLen(%d) = %d, want %d", x, got, want)
+		}
+	}
+	b := relation.Batch{Arity: 3}
+	for i := 0; i < 200; i++ {
+		b.Append(relation.Tuple{ast.Value(i), ast.Value(i << 9), ast.Value(-1 - i)})
+	}
+	want := AppendFlat(nil, b)
+	dst := append(make([]byte, 0, 2+len(want)), 0xaa, 0xbb)
+	got := AppendFlat(dst, b)
+	if &got[0] != &dst[0] || !bytes.Equal(got[2:], want) {
+		t.Fatalf("AppendFlat into %d spare bytes reallocated or wrote %d bytes, want %d in place", len(want), len(got)-2, len(want))
 	}
 }
 
