@@ -9,6 +9,7 @@ package parlog
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"parlog/internal/analysis"
@@ -31,6 +32,20 @@ func benchSirup(b *testing.B) *analysis.Sirup {
 	return s
 }
 
+// reportGC starts counting garbage collections; the function it returns
+// stops the timer and reports them as gc/op, the runtime.MemStats.NumGC
+// delta per iteration. Call it once set-up is done and defer the result.
+func reportGC(b *testing.B) func() {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.NumGC
+	return func() {
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		b.ReportMetric(float64(ms.NumGC-before)/float64(b.N), "gc/op")
+	}
+}
+
 // --- baseline: sequential evaluation ---
 
 func BenchmarkSequentialSemiNaive(b *testing.B) {
@@ -45,6 +60,7 @@ func BenchmarkSequentialSemiNaive(b *testing.B) {
 		b.Run(wl.name, func(b *testing.B) {
 			edb := relation.Store{"par": wl.par}
 			b.ReportAllocs()
+			defer reportGC(b)()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := seminaive.Eval(workload.AncestorProgram(), edb, seminaive.Options{}); err != nil {
 					b.Fatal(err)
@@ -262,6 +278,7 @@ func BenchmarkSpeedupWorkers(b *testing.B) {
 	b.Run("Eval", func(b *testing.B) {
 		prog := workload.AncestorProgram()
 		b.ReportAllocs()
+		defer reportGC(b)()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := seminaive.Eval(prog, edb, seminaive.Options{}); err != nil {
 				b.Fatal(err)
@@ -282,6 +299,7 @@ func BenchmarkSpeedupWorkers(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			defer reportGC(b)()
 			for i := 0; i < b.N; i++ {
 				if _, err := parallel.Run(p, edb, parallel.RunConfig{}); err != nil {
 					b.Fatal(err)

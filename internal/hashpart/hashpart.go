@@ -135,6 +135,15 @@ func (m ModHash) Apply(vals []ast.Value) int {
 	for _, v := range vals {
 		h = fnvValue(h, v)
 	}
+	return m.reduce(h)
+}
+
+// reduce maps the hash h onto {0,…,N−1} as h mod N, with a mask instead of
+// the 64-bit divide when N is a power of two.
+func (m ModHash) reduce(h uint64) int {
+	if n := uint64(m.N); n != 0 && n&(n-1) == 0 {
+		return int(h & (n - 1))
+	}
 	return int(h % uint64(m.N))
 }
 
@@ -145,7 +154,7 @@ func (m ModHash) ApplyCols(t []ast.Value, cols []int) int {
 	for _, c := range cols {
 		h = fnvValue(h, t[c])
 	}
-	return int(h % uint64(m.N))
+	return m.reduce(h)
 }
 
 // SymHash hashes the value sequence onto {0,…,N−1} invariantly under any

@@ -112,6 +112,27 @@ func TestModHashMatchesFNV(t *testing.T) {
 	}
 }
 
+// TestModHashMaskMatchesModulo checks the power-of-two shortcut: for every
+// N, mask or not, reduce is h mod N, and Apply and ApplyCols agree with it
+// on the FNV-1a state of the values they hash.
+func TestModHashMaskMatchesModulo(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 64} {
+		m := ModHash{N: n}
+		f := func(h uint64, a, b int32, seed uint64) bool {
+			m.Seed = seed
+			vals := []ast.Value{ast.Value(a), ast.Value(b)}
+			state := fnvValue(fnvValue(fnvOffset^seed, vals[0]), vals[1])
+			want := int(state % uint64(n))
+			return m.reduce(h) == int(h%uint64(n)) &&
+				m.Apply(vals) == want &&
+				m.ApplyCols([]ast.Value{0, ast.Value(b), ast.Value(a)}, []int{2, 1}) == want
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("N=%d: %v", n, err)
+		}
+	}
+}
+
 func TestModHashSeedsDiffer(t *testing.T) {
 	a := ModHash{N: 16, Seed: 1}
 	b := ModHash{N: 16, Seed: 2}

@@ -13,8 +13,11 @@ import (
 
 // EmitFunc carries one logical outgoing batch to a transport: dest is a
 // dense worker index (never the emitting node itself), pred a derived
-// predicate. The batch is a flat copy of the tuples' values, and the node
-// hands it over — it never touches it again — so a transport may queue it.
+// predicate. The batch may be a capacity-capped window of the node's arena
+// (the rows its channel relation to dest gained since the last send) rather
+// than a copy. Its rows are immutable: the node never writes them again, and
+// neither may the transport, so a transport may queue the batch, send it
+// twice or read it from another goroutine while the node runs on.
 type EmitFunc func(dest int, pred string, b relation.Batch)
 
 // Node is the transport-agnostic processor of the paper's abstract
@@ -28,12 +31,14 @@ type EmitFunc func(dest int, pred string, b relation.Batch)
 // Each derived tuple is stored once. The paper's processors keep a t_out and
 // a t_in per derived predicate, but Theorems 1 and 2 need only the
 // receive-side difference: a tuple routed to this node itself lives in the
-// slot's @in relation, with an origin bit marking it generated here, and
-// only a tuple bound solely for other nodes lives in the slot's out
-// relation. Routing runs before dedup, and because a tuple's destinations
-// are a function of the tuple, every derivation of it probes the same
-// relation — one hash probe per firing serves both the send-side dedup and
-// the receive-side difference.
+// slot's @in relation, with an origin bit marking it generated here, and a
+// tuple bound solely for other nodes lives in the channel relation of its
+// first destination d, the slot's out[d] (the paper's t_ij). Routing runs
+// before dedup, and because a tuple's destinations are a function of the
+// tuple, every derivation of it probes the same relation — one hash probe
+// per firing serves both the send-side dedup and the receive-side
+// difference. A channel relation is also the outbox: each pass hands d the
+// rows out[d] gained since the last pass, as a window of its arena.
 //
 // A Node is not safe for concurrent use; each transport drives it from a
 // single goroutine.
@@ -63,9 +68,11 @@ type Node struct {
 	// sink receives this node's events; nil disables observability.
 	sink obs.EventSink
 
-	// batch[dest][slot] accumulates the tuples bound for one destination
-	// within one local iteration, as flat values with no tuple headers.
-	// Dense indexes in sorted predicate order make flush's send order
+	// batch[dest][slot] accumulates, within one local iteration, the copies
+	// a tuple owes the destinations its channel relation does not hold: every
+	// remote destination of a tuple kept here (a broadcast), and every
+	// destination after the first of a tuple with several homes. Dense
+	// indexes in sorted predicate order make flush's send order
 	// deterministic without sorting.
 	batch [][]relation.Batch
 
@@ -88,9 +95,14 @@ type predSlot struct {
 	// bit r set when row r of in was also generated here.
 	in   *relation.Relation
 	mine []uint64
-	// out holds the tuples generated here whose destinations are all other
-	// nodes (or none); pooling reads it alongside in.
-	out *relation.Relation
+	// out[d] is the channel relation to the node of dense index d, nil
+	// until first used: the tuples generated here whose destinations are
+	// all other nodes, d first. sent[d] counts the rows of out[d] already
+	// handed to d. out[wi], at the node's own index, holds the tuples with
+	// no destination at all and is never sent. Pooling reads every out[d]
+	// alongside in.
+	out  []*relation.Relation
+	sent []int
 	// routers are the program's sending rules for this predicate,
 	// precompiled against this processor; selfOnly marks the
 	// communication-free scheme, whose only destination is the node itself,
@@ -102,6 +114,15 @@ type predSlot struct {
 	// homeless is set once one of this node's tuples had no home: its
 	// router's h named a processor outside the set.
 	homeless bool
+}
+
+// outTo returns the channel relation to dense index d, allocating it on
+// first use.
+func (s *predSlot) outTo(d int) *relation.Relation {
+	if s.out[d] == nil {
+		s.out[d] = relation.New(s.in.Arity())
+	}
+	return s.out[d]
 }
 
 // markMine sets row's origin bit, reporting whether it was already set.
@@ -197,7 +218,8 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 		ar := p.IDB[pred]
 		s := &n.preds[si]
 		s.name, s.inKey = pred, pred+inSuffix
-		s.in, s.out = relation.New(ar), relation.New(ar)
+		s.in = relation.New(ar)
+		s.out, s.sent = make([]*relation.Relation, p.Procs.Len()), make([]int, p.Procs.Len())
 		n.store[s.inKey] = s.in
 		n.fix.Watch(s.inKey, 0)
 		for _, rt := range p.routers[pred] {
@@ -375,9 +397,11 @@ func (n *Node) Drain(emit EmitFunc) {
 // reporting whether it was one. A tuple routed to this node itself dedups
 // against @in, where the origin bit tells a rederivation (DupFirings) from
 // a tuple only received so far (a first generation here, still owed to
-// its other destinations). A tuple bound only elsewhere dedups against
-// out. home (the rule's heads are proven to route here alone) skips
-// routing. t may be a scratch buffer: the batches copy its values.
+// its other destinations). A tuple bound only elsewhere dedups against,
+// and is stored in, the channel relation of its first destination, which
+// also sends it there; a tuple with no destination goes to out[wi]. home
+// (the rule's heads are proven to route here alone) skips routing. t may
+// be a scratch buffer: the relations and batches copy its values.
 func (n *Node) emitTuple(si int, home bool, t relation.Tuple) bool {
 	s := &n.preds[si]
 	var dests []int
@@ -400,8 +424,14 @@ func (n *Node) emitTuple(si int, home bool, t relation.Tuple) bool {
 		if row, _ := s.in.InsertRow(t); s.markMine(row) {
 			return false
 		}
-	} else if _, fresh := s.out.InsertRow(t); !fresh {
-		return false
+	} else {
+		first := n.wi
+		if len(dests) > 0 {
+			first, dests = dests[0], dests[1:]
+		}
+		if _, fresh := s.outTo(first).InsertRow(t); !fresh {
+			return false
+		}
 	}
 	for _, wi := range dests {
 		n.batch[wi][si].Append(t)
@@ -482,19 +512,37 @@ func (n *Node) route(s *predSlot, t relation.Tuple) (dests []int, self bool) {
 	return dests, self
 }
 
-// flush hands the accumulated logical batches to the transport in
-// (destination, pred) order, so a deterministic schedule sees an
-// identical send sequence run-to-run. Each handed-off batch belongs to the
-// transport from then on (the in-process runtime queues it).
+// flush hands the transport, in (destination, pred) order, one batch per
+// channel that has tuples to send, so a deterministic schedule sees an
+// identical send sequence run-to-run: the rows the channel relation out[d]
+// gained since its last send, as a window of its arena, and the copies
+// queued in batch[d]. Only when a channel has both are they copied into one
+// batch. Each handed-off batch belongs to the transport from then on (the
+// in-process runtime queues it).
 func (n *Node) flush(emit EmitFunc) {
 	for wi, byPred := range n.batch {
 		for si := range byPred {
-			b := byPred[si]
-			if b.N == 0 {
-				continue
+			s := &n.preds[si]
+			var w relation.Batch
+			if s.out[wi] != nil && wi != n.wi {
+				w = s.out[wi].Flat(s.sent[wi])
+				s.sent[wi] = s.out[wi].Len()
 			}
-			byPred[si] = relation.Batch{Arity: b.Arity}
-			emit(wi, n.preds[si].name, b)
+			b := byPred[si]
+			switch {
+			case b.N == 0:
+				if w.N > 0 {
+					emit(wi, s.name, w)
+				}
+			case w.N == 0:
+				byPred[si] = relation.Batch{Arity: b.Arity}
+				emit(wi, s.name, b)
+			default:
+				both := relation.Batch{Arity: b.Arity, N: w.N + b.N, Vals: make([]ast.Value, 0, len(w.Vals)+len(b.Vals))}
+				both.Vals = append(append(both.Vals, w.Vals...), b.Vals...)
+				byPred[si] = relation.Batch{Arity: b.Arity, Vals: b.Vals[:0]}
+				emit(wi, s.name, both)
+			}
 		}
 	}
 }
@@ -522,10 +570,11 @@ func (n *Node) RecordSent(dest, tuples int) {
 // RecordBusy adds transport-measured busy time.
 func (n *Node) RecordBusy(d time.Duration) { n.stats.Busy += d }
 
-// generated calls fn with every row this slot's node generated: its out
-// rows and its origin-marked @in rows, skipping the relation skip (nil
-// skips none). Every other @in row was received, so it was generated at
-// another node.
+// generated calls fn with every row this slot's node generated: its
+// origin-marked @in rows and the rows of every channel relation, skipping
+// the relation skip (nil skips none). Each generated tuple sits in exactly
+// one of these places. Every other @in row was received, so it was
+// generated at another node.
 func (s *predSlot) generated(skip *relation.Relation, fn func(relation.Tuple)) {
 	if s.in != skip {
 		for w, word := range s.mine {
@@ -534,9 +583,11 @@ func (s *predSlot) generated(skip *relation.Relation, fn func(relation.Tuple)) {
 			}
 		}
 	}
-	if s.out != skip {
-		for row := 0; row < s.out.Len(); row++ {
-			fn(s.out.Row(row))
+	for _, r := range s.out {
+		if r != nil && r != skip {
+			for row := 0; row < r.Len(); row++ {
+				fn(r.Row(row))
+			}
 		}
 	}
 }
@@ -549,8 +600,10 @@ func (s *predSlot) generatedLen(skip *relation.Relation) int {
 			n += bits.OnesCount64(w)
 		}
 	}
-	if s.out != skip {
-		n += s.out.Len()
+	for _, r := range s.out {
+		if r != nil && r != skip {
+			n += r.Len()
+		}
 	}
 	return n
 }
@@ -571,7 +624,7 @@ func (n *Node) Output(fn func(pred string, home bool, b relation.Batch)) {
 	for si := range n.preds {
 		s := &n.preds[si]
 		if n.homeSet(si) {
-			fn(s.name, true, s.in.Flat())
+			fn(s.name, true, s.in.Flat(0))
 			continue
 		}
 		k := s.generatedLen(nil)
@@ -605,10 +658,10 @@ func (n *Node) homeSet(si int) bool {
 // and their union is the result: Pool adopts the largest and appends the
 // others without a dedup probe. Otherwise every tuple a node generated
 // sits in its @in (with its origin bit) when the node is among the
-// tuple's destinations and in its out otherwise, so Pool adopts the
-// largest of these relations — received rows included, since each was
-// generated elsewhere — and adds every other node's generated rows into
-// it.
+// tuple's destinations and in one of its channel relations otherwise, so
+// Pool adopts the largest of these relations — received rows included,
+// since each was generated elsewhere — and adds every other node's
+// generated rows into it.
 func Pool(nodes []*Node) relation.Store {
 	out := relation.Store{}
 	if len(nodes) == 0 {
@@ -622,8 +675,12 @@ func Pool(nodes []*Node) relation.Store {
 		}
 		dst := nodes[0].preds[si].in
 		for _, n := range nodes {
-			for _, r := range [2]*relation.Relation{n.preds[si].in, n.preds[si].out} {
-				if r.Len() > dst.Len() {
+			s := &n.preds[si]
+			if s.in.Len() > dst.Len() {
+				dst = s.in
+			}
+			for _, r := range s.out {
+				if r != nil && r.Len() > dst.Len() {
 					dst = r
 				}
 			}
@@ -672,7 +729,7 @@ func concatIn(nodes []*Node, si int) *relation.Relation {
 
 // Snapshot captures the node's @in relations — the derived tuples this
 // bucket has received or kept. Because every other piece of node state
-// (the out relations, the origin bits, the watermarks) is a monotone
+// (the channel relations, the origin bits, the watermarks) is a monotone
 // function of the EDB fragment and these tuples, a fresh node that runs
 // Init, Accepts the snapshot and Drains converges to a state at least as
 // advanced as this one: the snapshot is a complete bucket checkpoint.

@@ -123,6 +123,9 @@ type handNet struct {
 	nodes  []*Node
 	queue  []handBatch
 	sent   []handBatch // every batch ever emitted, in order
+	// onEmit, when set, sees each batch as its node hands it over, before
+	// the node runs on.
+	onEmit func(hb handBatch)
 }
 
 type handBatch struct {
@@ -156,12 +159,21 @@ func newHandNet(t *testing.T, n int, facts string, vr, ve []string, table map[st
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := handNetOf(t, p)
+	net.in = prog.Interner
+	return net
+}
+
+// handNetOf builds one node per processor of p, whose base facts are in
+// the program text.
+func handNetOf(t *testing.T, p *Program) *handNet {
+	t.Helper()
 	global, err := PrepareEDB(p, relation.Store{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := &handNet{p: p, global: global, in: prog.Interner}
-	for i := 0; i < n; i++ {
+	net := &handNet{p: p, global: global}
+	for i := 0; i < p.Procs.Len(); i++ {
 		net.nodes = append(net.nodes, NewNode(p, i, global))
 	}
 	return net
@@ -179,6 +191,9 @@ func (net *handNet) tuple(names ...string) relation.Tuple {
 func (net *handNet) emit(from int) EmitFunc {
 	return func(dest int, pred string, b relation.Batch) {
 		hb := handBatch{from: from, dest: dest, pred: pred, batch: b}
+		if net.onEmit != nil {
+			net.onEmit(hb)
+		}
 		net.queue = append(net.queue, hb)
 		net.sent = append(net.sent, hb)
 	}

@@ -272,6 +272,9 @@ func (r *Relation) InsertRow(t Tuple) (row int, fresh bool) {
 		return row, false
 	}
 	row = r.n
+	if len(r.data)+r.arity > cap(r.data) {
+		r.growArena()
+	}
 	r.data = append(r.data, t...)
 	r.n++
 	r.table[i] = slot(row, h, r.mask)
@@ -279,6 +282,18 @@ func (r *Relation) InsertRow(t Tuple) (row int, fresh bool) {
 		r.growTable()
 	}
 	return row, true
+}
+
+// growArena reallocates a full arena in one step to hold every row the
+// current dedup table can index before it next grows, 3/4 of its slots;
+// the table grows on reaching that load, so there is always room for one
+// more row. The table doubles, so the arena does too: a relation built by
+// inserts allocates about twice its final arena and table, where append's
+// 1.25× steps for large slices allocate over three times.
+func (r *Relation) growArena() {
+	data := make([]ast.Value, len(r.data), len(r.table)*3/4*r.arity)
+	copy(data, r.data)
+	r.data = data
 }
 
 // growTable doubles the hash table.
@@ -382,16 +397,17 @@ func (r *Relation) hashAppended(k int) {
 	r.n += k
 }
 
-// Flat returns the rows as one batch over the arena, without copying: the
-// batch shares the relation's storage, so callers must not modify it. Rows
-// inserted later are not part of it. Plain set mode only; Flat panics on a
-// counted relation, whose arena also holds dead rows.
-func (r *Relation) Flat() Batch {
+// Flat returns the rows from row from on as one batch over the arena,
+// without copying: the batch shares the relation's storage, so callers must
+// not modify it. Its capacity ends with its last row, so rows inserted later
+// are not part of it and never write into it. Plain set mode only; Flat
+// panics on a counted relation, whose arena also holds dead rows.
+func (r *Relation) Flat(from int) Batch {
 	if r.counts != nil {
 		panic("relation: Flat on a counted relation")
 	}
-	end := r.n * r.arity
-	return Batch{Arity: r.arity, N: r.n, Vals: r.data[:end:end]}
+	lo, end := from*r.arity, r.n*r.arity
+	return Batch{Arity: r.arity, N: r.n - from, Vals: r.data[lo:end:end]}
 }
 
 // Contains reports membership; in counted mode, membership of the live set.

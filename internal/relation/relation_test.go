@@ -366,7 +366,7 @@ func TestAppendDisjoint(t *testing.T) {
 		"relations": func(dst *Relation, srcs []*Relation) { dst.AppendDisjoint(srcs...) },
 		"values": func(dst *Relation, srcs []*Relation) {
 			for _, s := range srcs {
-				b := s.Flat()
+				b := s.Flat(0)
 				if err := dst.AppendDisjointVals(b.N, func(vals []ast.Value) error {
 					copy(vals, b.Vals)
 					return nil
@@ -409,7 +409,7 @@ func TestAppendDisjoint(t *testing.T) {
 	}); err != bad {
 		t.Fatalf("failed fill returned %v", err)
 	}
-	if r.Len() != 1 || r.Flat().N != 1 || len(r.Flat().Vals) != 2 || r.Contains(Tuple{7, 0}) || !r.Contains(Tuple{1, 2}) {
+	if r.Len() != 1 || r.Flat(0).N != 1 || len(r.Flat(0).Vals) != 2 || r.Contains(Tuple{7, 0}) || !r.Contains(Tuple{1, 2}) {
 		t.Errorf("a failed fill changed the relation: %v", r)
 	}
 }

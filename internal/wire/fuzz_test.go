@@ -41,13 +41,13 @@ func decodeIntoBounded(t *testing.T, raw []byte, arity int) *relation.Relation {
 		t.Fatalf("DecodeInto of %d bytes allocated %d bytes", len(raw), grown)
 	}
 	if err != nil {
-		if n != 0 || rel.Len() != 1 || rel.Flat().N != 1 {
+		if n != 0 || rel.Len() != 1 || rel.Flat(0).N != 1 {
 			t.Fatalf("DecodeInto failed (%v) but appended: n %d, %d rows", err, n, rel.Len())
 		}
 		return nil
 	}
-	if n != BatchCount(raw) || rel.Flat().N != 1+n {
-		t.Fatalf("DecodeInto appended %d tuples (relation %d rows), BatchCount %d", n, rel.Flat().N, BatchCount(raw))
+	if n != BatchCount(raw) || rel.Flat(0).N != 1+n {
+		t.Fatalf("DecodeInto appended %d tuples (relation %d rows), BatchCount %d", n, rel.Flat(0).N, BatchCount(raw))
 	}
 	return rel
 }
@@ -104,7 +104,7 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("DecodeInto accepted what DecodeBatch rejected (%v)", err)
 			}
 			if rel != nil && len(rows) > 0 {
-				got := rel.Flat()
+				got := rel.Flat(0)
 				for i, row := range rows {
 					if !got.Row(i + 1).Equal(row) {
 						t.Fatalf("DecodeInto row %d = %v, DecodeBatch %v", i, got.Row(i+1), row)
@@ -129,9 +129,9 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			tuples += b.N
 			// The output hop decodes the same batches straight into
 			// relations: both decoders must read them alike.
-			if rel := decodeIntoBounded(t, AppendFlat(nil, b), b.Arity); rel == nil || rel.Flat().N != 1+b.N {
+			if rel := decodeIntoBounded(t, AppendFlat(nil, b), b.Arity); rel == nil || rel.Flat(0).N != 1+b.N {
 				t.Fatalf("DecodeInto rejected a batch of %s that DecodeSnapshot delivered", pred)
-			} else if got := rel.Flat(); b.N > 0 && !slices.Equal(got.Vals[b.Arity:], b.Vals) {
+			} else if got := rel.Flat(0); b.N > 0 && !slices.Equal(got.Vals[b.Arity:], b.Vals) {
 				t.Fatalf("DecodeInto read %s as %v, DecodeSnapshot %v", pred, got.Vals[b.Arity:], b.Vals)
 			}
 			return nil

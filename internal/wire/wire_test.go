@@ -81,8 +81,8 @@ func TestFlatRoundTrip(t *testing.T) {
 			t.Errorf("%d×%d: BatchCount = %d", tc.count, tc.arity, bc)
 		}
 		rel := relation.New(tc.arity)
-		if n, err := DecodeInto(raw, rel); err != nil || n != tc.count || !slices.Equal(rel.Flat().Vals, got.Vals) {
-			t.Fatalf("%d×%d: DecodeInto appended %d tuples %v, err %v; DecodeFlat %v", tc.count, tc.arity, n, rel.Flat().Vals, err, got.Vals)
+		if n, err := DecodeInto(raw, rel); err != nil || n != tc.count || !slices.Equal(rel.Flat(0).Vals, got.Vals) {
+			t.Fatalf("%d×%d: DecodeInto appended %d tuples %v, err %v; DecodeFlat %v", tc.count, tc.arity, n, rel.Flat(0).Vals, err, got.Vals)
 		}
 	}
 	// A zero-arity header may not claim more tuples than it has bytes.
