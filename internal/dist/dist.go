@@ -1613,8 +1613,9 @@ func (c *Coordinator) Wait() (*Result, error) {
 
 // pool is the final pooling step over the workers' outputs. A predicate
 // every one of the buckets shipped as its home set is, when homed holds, a
-// disjoint union: its batches are decoded straight into one relation, sized
-// once from their header counts, with no dedup probe. Every other
+// disjoint union: its batches are decoded straight into one relation's
+// arena, sized once from their header counts, with no dedup probe and no
+// dedup table until something probes the relation. Every other
 // predicate's rows are added by union.
 func pool(res *Result, outs []*wireMsg, homed bool, buckets int) error {
 	homes := map[string]int{}
@@ -1631,7 +1632,7 @@ func pool(res *Result, outs []*wireMsg, homed bool, buckets int) error {
 	for pred, k := range homes {
 		if homed && k == buckets && res.Output[pred] != nil {
 			concat[pred] = true
-			res.Output[pred].Grow(total[pred])
+			res.Output[pred].GrowArena(total[pred])
 			res.Concatenated = append(res.Concatenated, pred)
 		}
 	}

@@ -2,13 +2,16 @@ package dist
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
+	"parlog/internal/ast"
 	"parlog/internal/dist/fault"
 	"parlog/internal/parallel"
 	"parlog/internal/randprog"
 	"parlog/internal/relation"
 	"parlog/internal/seminaive"
+	"parlog/internal/wire"
 )
 
 // sameFirings reports the first bucket whose Definition-4 counters differ
@@ -178,4 +181,97 @@ func TestPoolRandomPrograms(t *testing.T) {
 		t.Fatal("no predicate was concatenated; the differential checked nothing")
 	}
 	t.Logf("%d predicates concatenated across 50 programs", concatenated)
+}
+
+// TestPoolBuildsNoTable guards the coordinator's table-less concatenation:
+// two buckets' home sets of 6,000 rows each are decoded straight into one
+// arena, and no dedup table is built, since nothing probes the result.
+// pool may allocate at most 1.1× the pooled arena plus 4 KB; a table for
+// the same rows would add at least 2/3 of the arena. Measured: 1.02×. A
+// later Contains still answers: it enters the rows into a table on its
+// first probe.
+func TestPoolBuildsNoTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts; CI runs this test without -race")
+	}
+	const rows = 6000
+	var outs []*wireMsg
+	for b := 0; b < 2; b++ {
+		batch := relation.Batch{Arity: 2}
+		for i := 0; i < rows; i++ {
+			batch.Append(relation.Tuple{ast.Value(b), ast.Value(i)})
+		}
+		outs = append(outs, &wireMsg{Kind: kindOutput, Index: b, Out: []outBatch{
+			{Bucket: b, Pred: "anc", Home: true, Raw: wire.AppendFlat(nil, batch)},
+		}})
+	}
+	res := &Result{Output: relation.Store{}}
+	res.Output.Get("anc", 2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	err := pool(res, outs, true, 2)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	anc := res.Output["anc"]
+	if !reflect.DeepEqual(res.Concatenated, []string{"anc"}) || anc.Len() != 2*rows {
+		t.Fatalf("Concatenated = %v, %d rows; want [anc], %d", res.Concatenated, anc.Len(), 2*rows)
+	}
+	arena := uint64(anc.NumRows() * anc.Arity() * 4)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("pool allocated %d bytes for a %d-byte arena: %.2f×", bytes, arena, float64(bytes)/float64(arena))
+	if bytes > arena*11/10+4096 {
+		t.Errorf("pool allocated %d bytes for a %d-byte arena, want ≤ 1.1× + 4 KB", bytes, arena)
+	}
+	for b := 0; b < 2; b++ {
+		for i := 0; i < rows; i++ {
+			if !anc.Contains(relation.Tuple{ast.Value(b), ast.Value(i)}) {
+				t.Fatalf("pooled relation misses (%d, %d)", b, i)
+			}
+		}
+	}
+	if anc.Contains(relation.Tuple{2, 0}) || anc.Insert(relation.Tuple{1, 5}) {
+		t.Error("a probe of the pooled relation found a tuple it does not hold, or missed one it does")
+	}
+}
+
+// TestMisrouteDroppedAtAccept diverts every batch worker 0 sends to bucket
+// 1 on Example 3, where each anc tuple has one home and the h(Z)=i test on
+// anc@in is proven implied. Bucket 1's Accept drops and counts the
+// diverted tuples not homed there (Unhomed), so no bucket fires on a tuple
+// placed where its test fails, and the run derives only tuples of the
+// least model, pooled by union.
+func TestMisrouteDroppedAtAccept(t *testing.T) {
+	src := ancestorRules + randomParFacts(30, 90, 6)
+	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
+	plan := fault.NewMisroutePlan(0, 0).DivertAllFrom(0, 1)
+	res, err := Run(p, edb, Config{RouteFault: plan.Route})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Seen() == 0 {
+		t.Fatal("router never consulted the misroute plan")
+	}
+	var unhomed int64
+	for _, ps := range res.Stats {
+		unhomed += ps.Unhomed
+	}
+	if unhomed == 0 {
+		t.Fatal("no diverted tuple was dropped at Accept")
+	}
+	if len(res.Concatenated) != 0 {
+		t.Errorf("Concatenated = %v after a misroute, want none", res.Concatenated)
+	}
+	anc := res.Output["anc"]
+	for _, tu := range anc.Rows() {
+		if !seq["anc"].Contains(tu) {
+			t.Fatalf("the diverted run derived %v, outside the least model", tu)
+		}
+	}
+	if anc.Len() == 0 {
+		t.Fatal("the diverted run derived nothing")
+	}
+	t.Logf("%d tuples dropped, %d of the model's %d derived", unhomed, anc.Len(), seq["anc"].Len())
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"parlog/internal/ast"
 	"parlog/internal/obs"
 	"parlog/internal/parallel"
 	"parlog/internal/relation"
@@ -481,6 +482,10 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 	sink := node.Sink()
 	var busy time.Duration
 	var profileRun bool // step 0's Profile flag
+	// recv holds the values of the data batches one turn decodes, reused
+	// from its start every turn: Accept copies each batch into @in, and
+	// nothing else (spans, replay, checkpoints) keeps one past the turn.
+	var recv []ast.Value
 	hostedBuckets := func() []int {
 		hosted := make([]int, 0, len(nodes))
 		for b := range nodes {
@@ -567,12 +572,15 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		// Sender order, as at the in-process barrier; one sender's batches
 		// keep the order it sent them in.
 		sort.SliceStable(data, func(i, j int) bool { return data[i].From < data[j].From })
+		recv = recv[:0]
 		for _, m := range data {
 			n := nodes[m.Bucket]
 			if n == nil {
 				continue
 			}
-			b, err := wire.DecodeFlat(m.Raw)
+			var b relation.Batch
+			var err error
+			b, recv, err = wire.DecodeAppend(recv, m.Raw)
 			if err != nil {
 				return fmt.Errorf("dist: data batch for bucket %d: %w", m.Bucket, err)
 			}

@@ -306,9 +306,11 @@ func NewFragmentation(frags map[int]*relation.Relation, fallback Func) (*Fragmen
 // Name implements Func.
 func (f *Fragmentation) Name() string { return "hfrag" }
 
-// Apply implements Func.
+// Apply implements Func. The key is built in a buffer on the stack, which
+// is safe under concurrent calls, and looked up without a string copy.
 func (f *Fragmentation) Apply(vals []ast.Value) int {
-	if proc, ok := f.Table[relation.Tuple(vals).Key()]; ok {
+	var buf [32]byte
+	if proc, ok := f.Table[string(relation.Tuple(vals).AppendKey(buf[:0]))]; ok {
 		return proc
 	}
 	return f.Fallback.Apply(vals)

@@ -230,6 +230,32 @@ func TestFragmentationFunction(t *testing.T) {
 	}
 }
 
+// TestFragmentationApplyAllocs holds Fragmentation.Apply at zero
+// allocations per call, hit or miss, over a sequence of up to eight values:
+// it builds its key in a buffer on its stack and looks the key up without
+// a string copy. When it built a string key per call, those keys were 85%
+// of BenchmarkExample2's 46,608 allocations per run. Measured: 0; the bound
+// is 0 + 0.1.
+func TestFragmentationApplyAllocs(t *testing.T) {
+	f0 := relation.FromTuples(2, [][]ast.Value{{1, 2}})
+	f1 := relation.FromTuples(2, [][]ast.Value{{3, 4}})
+	h, err := NewFragmentation(map[int]*relation.Relation{0: f0, 1: f1}, Constant{Proc: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := make([]ast.Value, 8)
+	for _, vals := range [][]ast.Value{{1, 2}, {3, 4}, {5, 6}, long} {
+		want := h.Apply(vals)
+		if a := testing.AllocsPerRun(100, func() {
+			if h.Apply(vals) != want {
+				t.Fatal("Apply is not deterministic")
+			}
+		}); a > 0.1 {
+			t.Errorf("Apply(%v): %.2f allocs/op, want 0", vals, a)
+		}
+	}
+}
+
 func TestFragmentationOverlapRejected(t *testing.T) {
 	f0 := relation.FromTuples(2, [][]ast.Value{{1, 2}})
 	f1 := relation.FromTuples(2, [][]ast.Value{{1, 2}})

@@ -157,12 +157,20 @@ type nodeRouter struct {
 	h      hashpart.Func
 	mod    hashpart.ModHash
 	isMod  bool
+	// dest caches a one-column router's answers for the values below its
+	// length, the node's value bound (valueBound); it is empty for other
+	// routers. dest[v] is 0 until home first routes v, then v's dense index
+	// plus one, or -1 when h names a processor outside the set. h is
+	// deterministic and fixed per processor, so the answer never changes.
+	dest []int32
 }
 
-// compileRouter flattens rt for the processor procID. Build has already
-// validated that a point-to-point router's sequence is contained in its
-// pattern, so every sequence variable resolves to a column.
-func compileRouter(rt Router, procID int) nodeRouter {
+// compileRouter flattens rt for the processor procID; a one-column
+// point-to-point router caches its answers for the values below bound.
+// Build has already validated that a point-to-point router's sequence is
+// contained in its pattern, so every sequence variable resolves to a
+// column.
+func compileRouter(rt Router, procID, bound int) nodeRouter {
 	nr := nodeRouter{self: rt.Self, broadcast: rt.Broadcast, arity: len(rt.Pattern.Args)}
 	if rt.Self {
 		return nr
@@ -189,8 +197,33 @@ func compileRouter(rt Router, procID int) nodeRouter {
 		}
 		nr.h = rt.HFor(procID)
 		nr.mod, nr.isMod = nr.h.(hashpart.ModHash)
+		if len(nr.seqPos) == 1 {
+			nr.dest = make([]int32, bound)
+		}
 	}
 	return nr
+}
+
+// valueBound bounds the values a node routes by a table: one more than the
+// largest value of the base relations p reads from global, and at most
+// their number of values. Datalog derives no constant its input lacks, so
+// only a rule's own constants lie beyond the first bound; the second caps
+// a routing table at a fraction of the EDB's arena when values are sparse.
+func valueBound(p *Program, global relation.Store) int {
+	hi, total := -1, 0
+	for pred := range p.EDB {
+		r := global[pred]
+		if r == nil {
+			continue
+		}
+		total += r.NumRows() * r.Arity()
+		for i := 0; i < r.NumRows(); i++ {
+			for _, v := range r.Row(i) {
+				hi = max(hi, int(v))
+			}
+		}
+	}
+	return min(hi+1, total)
 }
 
 // NewNode materializes processor wi's node, including its base-relation
@@ -213,7 +246,7 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 		n.store[pred] = frag
 		n.stats.EDBTuples += frag.Len()
 	}
-	maxSeq := 0
+	maxSeq, bound := 0, valueBound(p, global)
 	for si, pred := range p.preds {
 		ar := p.IDB[pred]
 		s := &n.preds[si]
@@ -223,7 +256,7 @@ func NewNode(p *Program, wi int, global relation.Store) *Node {
 		n.store[s.inKey] = s.in
 		n.fix.Watch(s.inKey, 0)
 		for _, rt := range p.routers[pred] {
-			nr := compileRouter(rt, procID)
+			nr := compileRouter(rt, procID, bound)
 			s.routers = append(s.routers, nr)
 			if len(nr.seqPos) > maxSeq {
 				maxSeq = len(nr.seqPos)
@@ -335,19 +368,34 @@ func (n *Node) Init(emit EmitFunc) {
 // the one receive path: transports Accept both channel batches and
 // checkpoint snapshots. Call Drain afterwards; transports may Accept
 // several batches per Drain.
+//
+// A tuple of a one-home predicate (Program.disjoint) whose home is another
+// processor reached this node by a misroute; Accept drops and counts it
+// (Unhomed). This keeps such an @in relation exactly the tuples homed
+// here, which is what Pool's concatenation and build's implied h(…)=i
+// tests (routedImplies) rely on.
 func (n *Node) Accept(from int, pred string, b relation.Batch) {
 	si, ok := n.prog.slots[pred]
 	if !ok {
 		return // unknown predicate: a corrupt or stale message; ignore
 	}
-	rel := n.preds[si].in
+	s := &n.preds[si]
+	rel := s.in
 	if b.N > 0 && b.Arity != rel.Arity() {
 		return // a corrupt message; ignore
 	}
+	homed := n.prog.disjoint[si]
 	dupBefore := n.stats.DupReceived
 	n.stats.TuplesReceived += int64(b.N)
 	for i := 0; i < b.N; i++ {
-		if !rel.Insert(b.Row(i)) {
+		t := b.Row(i)
+		if homed {
+			if wi, ok := n.home(s.one, t); !ok || wi != n.wi {
+				n.stats.Unhomed++
+				continue
+			}
+		}
+		if !rel.Insert(t) {
 			n.stats.DupReceived++
 		}
 	}
@@ -441,7 +489,33 @@ func (n *Node) emitTuple(si int, home bool, t relation.Tuple) bool {
 
 // home returns the dense index of the one processor the point-to-point
 // router rt sends t to, false when rt's h names a processor outside the set.
+// A one-column router reads a value below its bound from its table, and
+// hashes it only the first time.
 func (n *Node) home(rt *nodeRouter, t relation.Tuple) (int, bool) {
+	if len(rt.dest) == 0 {
+		return n.hash(rt, t)
+	}
+	// A negative value converts to a uint past the table's end.
+	v := uint(t[rt.seqPos[0]])
+	if v >= uint(len(rt.dest)) {
+		return n.hash(rt, t)
+	}
+	switch d := rt.dest[v]; {
+	case d > 0:
+		return int(d) - 1, true
+	case d < 0:
+		return 0, false
+	}
+	wi, ok := n.hash(rt, t)
+	rt.dest[v] = -1
+	if ok {
+		rt.dest[v] = int32(wi) + 1
+	}
+	return wi, ok
+}
+
+// hash computes home's answer from rt's h.
+func (n *Node) hash(rt *nodeRouter, t relation.Tuple) (int, bool) {
 	var id int
 	if rt.isMod {
 		id = rt.mod.ApplyCols(t, rt.seqPos)

@@ -10,6 +10,7 @@ package parallel
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"parlog/internal/analysis"
@@ -57,7 +58,7 @@ type compiledRule struct {
 	slot  int  // head's index into Program.preds (a node's per-predicate slots)
 	init  bool // no derived body atoms: fires once at start
 	// home marks a rule whose every head tuple routes to the processor
-	// that derived it, and nowhere else (see routesHome): its firings skip
+	// that derived it, and nowhere else (see routedOn): its firings skip
 	// routing.
 	home bool
 }
@@ -132,7 +133,7 @@ type ruleSpec struct {
 	seq  []string
 	hFor func(i int) hashpart.Func
 	// routerH records that hFor is the very function the head
-	// predicate's router applies, so routesHome may compare columns alone.
+	// predicate's router applies, so routedOn may compare columns alone.
 	routerH bool
 }
 
@@ -265,13 +266,21 @@ func build(prog *ast.Program, procs *hashpart.ProcSet, specs []ruleSpec, routers
 			}
 			cr := compiledRule{
 				head: r.Head.Pred, slot: slots[r.Head.Pred],
-				home: spec.routerH && routesHome(r.Head, spec.seq, p.routers[r.Head.Pred]),
+				home: spec.routerH && routedOn(r.Head, spec.seq, p.routers[r.Head.Pred]),
 			}
 			if len(recAtoms) == 0 {
 				cr.init = true
 				cr.plans = []*seminaive.Plan{seminaive.Compile(wr, nil)}
 			} else {
 				cr.plans = seminaive.DeltaVariants(wr, recAtoms)
+			}
+			for _, bi := range recAtoms {
+				if spec.hFor != nil && routedImplies(r.Body[bi], spec, r.Head.Pred, p.routers[r.Body[bi].Pred], procID) {
+					// The constraint is wr's last, after any of r's own.
+					for _, pl := range cr.plans {
+						pl.DropImplied(len(wr.Constraints)-1, bi)
+					}
+				}
 			}
 			ws = append(ws, cr)
 		}
@@ -309,25 +318,51 @@ func oneHome(rts []Router) bool {
 	return ok && rts[0].SameH
 }
 
-// routesHome reports whether every head tuple of a rule constrained by
-// h(seq) = i routes to processor i and nowhere else, given that the head
-// predicate's router applies the same h: the predicate has one
-// point-to-point router, whose pattern (distinct variables) matches every
-// tuple and whose sequence columns hold, in order, the head's seq
-// variables. The router then recomputes h(seq) = i for each tuple — Theorem
+// routedOn reports whether rts is a single point-to-point router whose
+// pattern (distinct variables) matches every tuple of a's predicate and
+// whose sequence columns hold, in order, a's variables seq: the router
+// sends a tuple matching a to h(seq) under its h.
+//
+// For a rule's head a, constrained by h(seq) = i under the router's own h,
+// every head tuple then routes to processor i and nowhere else — Theorem
 // 3's communication-free argument, applied per rule — so the node may skip
-// it.
-func routesHome(head ast.Atom, seq []string, rts []Router) bool {
+// routing it (compiledRule.home).
+func routedOn(a ast.Atom, seq []string, rts []Router) bool {
 	col, ok := pointToPoint(rts)
-	if !ok || len(rts[0].Seq) != len(seq) || len(rts[0].Pattern.Args) != len(head.Args) {
+	if !ok || len(rts[0].Seq) != len(seq) || len(rts[0].Pattern.Args) != len(a.Args) {
 		return false
 	}
 	for k, v := range rts[0].Seq {
-		if t := head.Args[col[v]]; !t.IsVar() || t.VarName != seq[k] {
+		if t := a.Args[col[v]]; !t.IsVar() || t.VarName != seq[k] {
 			return false
 		}
 	}
 	return true
+}
+
+// routedImplies reports whether the constraint h(seq) = procID that spec
+// puts on a rule with head predicate head holds for every row of the
+// rule's positive body atom a, read from a's @in relation at processor
+// procID. That needs a's predicate to have one home (oneHome) and its
+// router to route on a's seq variables (routedOn) under the constraint's
+// own h: that router sent each tuple to the one processor its h names, so
+// the @in relation at procID holds only tuples on which h gives procID.
+// The h is the router's when spec applies the head predicate's router's
+// function and a reads the head predicate, or when the two functions are
+// equal values.
+func routedImplies(a ast.Atom, spec ruleSpec, head string, rts []Router, procID int) bool {
+	if !oneHome(rts) || !routedOn(a, spec.seq, rts) {
+		return false
+	}
+	return spec.routerH && a.Pred == head || sameFunc(rts[0].HFor(procID), spec.hFor(procID))
+}
+
+// sameFunc reports whether f and g are equal values of one comparable type,
+// hence the same function. It answers false, never panics, for functions
+// it cannot compare (a func or slice field).
+func sameFunc(f, g hashpart.Func) bool {
+	vf, vg := reflect.ValueOf(f), reflect.ValueOf(g)
+	return vf.IsValid() && vg.IsValid() && vf.Type() == vg.Type() && vf.Comparable() && vf.Equal(vg)
 }
 
 // BuildQ compiles the Section 3 non-redundant scheme for a linear sirup.

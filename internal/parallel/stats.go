@@ -27,6 +27,9 @@ type ProcStats struct {
 	TuplesReceived int64
 	// DupReceived counts received tuples already present locally.
 	DupReceived int64
+	// Unhomed counts received tuples of a one-home predicate whose home is
+	// another processor: a misrouted batch's. Accept drops them.
+	Unhomed int64
 	// Iterations is the number of local semi-naive rounds.
 	Iterations int64
 	// Busy is time spent evaluating; the difference to the run's wall clock

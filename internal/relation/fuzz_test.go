@@ -9,12 +9,19 @@ import (
 // checkTable verifies the dedup table's packing invariant: every filled
 // slot holds row+1 of a row below both NumRows and len(table), with the
 // tag slot() gives that row's hash, and the filled slots are exactly the
-// rows that are not superseded, each found by a probe for its values.
+// rows that are neither superseded nor pending, each found by a probe for
+// its values. Pending rows, which AppendDisjoint left out of the table, are
+// the arena's last rows and no probe of the table finds them. checkTable
+// enters no pending row itself: only the relation's own probes do.
 func checkTable(t testing.TB, r *Relation) {
 	t.Helper()
 	if uint64(len(r.table)) != r.mask+1 || len(r.table)&(len(r.table)-1) != 0 {
 		t.Fatalf("table of %d slots with mask %#x", len(r.table), r.mask)
 	}
+	if r.pending < 0 || r.pending > r.n {
+		t.Fatalf("%d pending rows of %d", r.pending, r.n)
+	}
+	hashed := r.n - r.pending
 	m := uint32(r.mask)
 	filled := 0
 	for i, s := range r.table {
@@ -23,8 +30,8 @@ func checkTable(t testing.TB, r *Relation) {
 		}
 		filled++
 		row := int(s&m) - 1
-		if row < 0 || row >= r.n || row >= len(r.table) {
-			t.Fatalf("slot %d holds row %d: %d rows, %d slots", i, row, r.n, len(r.table))
+		if row < 0 || row >= hashed || row >= len(r.table) {
+			t.Fatalf("slot %d holds row %d: %d rows, %d pending, %d slots", i, row, r.n, r.pending, len(r.table))
 		}
 		if want := slot(row, r.hashRow(row), r.mask); s != want {
 			t.Fatalf("slot %d holds %#x, row %d packs as %#x", i, s, row, want)
@@ -32,11 +39,18 @@ func checkTable(t testing.TB, r *Relation) {
 	}
 	canonical := 0
 	for row := 0; row < r.n; row++ {
+		_, got := r.find(r.row(row), r.hashRow(row))
+		if row >= hashed {
+			if got >= 0 {
+				t.Fatalf("pending row %d %v is in the table as row %d", row, r.row(row), got)
+			}
+			continue
+		}
 		if r.counts != nil && r.counts[row] == countSuperseded {
 			continue
 		}
 		canonical++
-		if _, got := r.find(r.row(row), r.hashRow(row)); got != row {
+		if got != row {
 			t.Fatalf("probe for row %d %v finds row %d", row, r.row(row), got)
 		}
 	}
@@ -133,13 +147,20 @@ func (m *relModel) check(op string) {
 // FuzzRelationOps decodes its input into a run of relation operations
 // over arity 0–3 and the values 0–4, so that tuples repeat and probes
 // share runs, and checks each result, and the dedup table's packing, with
-// a Go map as the oracle. Byte 0 picks the arity; then each operation is
-// an opcode byte followed by its operands.
+// a Go map as the oracle. Byte 0 picks the arity (byte 0 mod 4) and how
+// the relation starts ((byte 0 / 4) mod 3): empty, or table-less, holding
+// the rows of an AppendDisjoint or an AppendDisjointVals into an empty
+// relation, so the first probing operation builds its table. Then each
+// operation is an opcode byte followed by its operands.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 0, 1, 2, 1, 3, 4, 2, 1, 2, 5, 3, 40, 4, 3, 0})
 	f.Add([]byte{3, 7, 8, 1, 2, 3, 1, 8, 1, 2, 3, 2, 9, 1, 2, 3, 0, 10, 1, 2, 3, 8, 1, 2, 3, 0, 6, 5, 0, 4, 4, 4})
 	f.Add([]byte{1, 0, 1, 0, 2, 0, 3, 0, 4, 7, 9, 1, 0, 9, 2, 0, 8, 1, 2, 6, 10, 1, 5, 8, 1, 0, 3, 20})
 	f.Add([]byte{0, 0, 0, 2, 7, 9, 0, 8, 0, 10, 6})
+	f.Add([]byte{6, 7, 3, 2, 1, 2, 0, 1, 2, 4, 15, 9, 1, 3, 4})
+	f.Add([]byte{10, 6, 11, 5, 7, 0, 1, 2, 8, 1, 2, 6})
+	f.Add([]byte{7, 5, 20, 10, 1, 2, 3, 6, 4, 7, 60, 3, 9})
+	f.Add([]byte{9, 7, 0, 7, 8, 1, 9, 1, 10, 2})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return
@@ -161,6 +182,41 @@ func FuzzRelationOps(f *testing.F) {
 				tu[i] = ast.Value(next() % domain)
 			}
 			return tu
+		}
+		// appendAbsent appends, with AppendDisjoint or AppendDisjointVals,
+		// up to k distinct tuples the relation does not hold, enumerated
+		// from start, and records them in the oracle.
+		appendAbsent := func(k, start int, vals bool) {
+			src := New(arity)
+			var add []Tuple
+			for c := 0; c < 125 && len(add) < k; c++ {
+				tu := make(Tuple, arity)
+				for i, v := 0, start+c; i < arity; i, v = i+1, v/domain {
+					tu[i] = ast.Value(v % domain)
+				}
+				if _, ok := m.rows[tu.Key()]; !ok && src.Insert(tu) {
+					add = append(add, tu)
+				}
+			}
+			n := m.r.NumRows()
+			if vals {
+				b := src.Flat(0)
+				if err := m.r.AppendDisjointVals(b.N, func(dst []ast.Value) error {
+					copy(dst, b.Vals)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				m.r.AppendDisjoint(src)
+			}
+			for i, tu := range add {
+				m.rows[tu.Key()] = modelRow{n + i, 1}
+			}
+		}
+		if start := raw[0] / 4 % 3; start > 0 && arity > 0 {
+			appendAbsent(next()%64, next(), start == 2)
+			m.check("a table-less start")
 		}
 		for pos < len(raw) {
 			switch op := next() % 11; op {
@@ -201,27 +257,12 @@ func FuzzRelationOps(f *testing.F) {
 			case 3: // Grow
 				m.r.Grow(next() % 64)
 				m.check("Grow")
-			case 4: // AppendDisjoint of up to 7 absent tuples, plain mode only
+			case 4: // AppendDisjoint(Vals) of up to 7 absent tuples, plain mode only
 				if m.counted || arity == 0 {
 					continue
 				}
-				k, start := next()%8, next()
-				src := New(arity)
-				var add []Tuple
-				for c := 0; c < 125 && len(add) < k; c++ {
-					tu := make(Tuple, arity)
-					for i, v := 0, start+c; i < arity; i, v = i+1, v/domain {
-						tu[i] = ast.Value(v % domain)
-					}
-					if _, ok := m.rows[tu.Key()]; !ok && src.Insert(tu) {
-						add = append(add, tu)
-					}
-				}
-				n := m.r.NumRows()
-				m.r.AppendDisjoint(src)
-				for i, tu := range add {
-					m.rows[tu.Key()] = modelRow{n + i, 1}
-				}
+				k := next()
+				appendAbsent(k%8, next(), k&8 != 0)
 				m.check("AppendDisjoint")
 			case 5: // Clone, then carry on with the copy
 				c := m.r.Clone()

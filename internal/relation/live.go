@@ -49,6 +49,9 @@ func (r *Relation) LookupRow(t Tuple) int {
 	if len(t) != r.arity {
 		return -1
 	}
+	if r.pending != 0 {
+		r.settle()
+	}
 	_, row := r.find(t, hashVals(t))
 	return row
 }
@@ -67,6 +70,9 @@ func (r *Relation) InsertDelta(t Tuple, delta int32) (int, bool) {
 	}
 	if delta <= 0 {
 		panic("relation: InsertDelta requires a positive delta")
+	}
+	if r.pending != 0 {
+		r.settle()
 	}
 	h := hashVals(t)
 	i, row := r.find(t, h)
@@ -138,10 +144,14 @@ func (r *Relation) SetCount(row int, c int32) {
 // snapshot form handed to concurrent readers. When no row has ever died the
 // arena is shared zero-copy: the returned relation aliases r.data pinned at
 // the current length (later appends by the writer land beyond the pin, in
-// memory the snapshot never reads) and the dedup table is copied wholesale.
-// Otherwise live rows are filter-copied into a fresh relation.
+// memory the snapshot never reads) and the dedup table, with every row
+// entered, is copied wholesale. Otherwise live rows are filter-copied into
+// a fresh relation.
 func (r *Relation) Compact() *Relation {
 	if r.junk == 0 {
+		if r.pending != 0 {
+			r.settle()
+		}
 		end := r.n * r.arity
 		return &Relation{
 			arity: r.arity,

@@ -11,7 +11,10 @@
 // into the arena — the only allocations are the amortized arena/table
 // growths. Duplicate elimination is an open-addressing hash table of 4-byte
 // slots, each packing a row id with hash bits (a tag) that settle most
-// misses without reading the arena (see slot). The hash is computed
+// misses without reading the arena (see slot). Rows appended as known to be
+// distinct (AppendDisjoint) enter the table only on the relation's first
+// probe, so a relation that is only read row by row never builds one. The
+// hash is computed
 // directly from the values, a word at a time, so no string keys are ever
 // materialized. Indexes bucket rows by a column subset into runs of a
 // shared []int32 postings arena (see Index). Values are immutable
@@ -44,6 +47,10 @@ func appendKey(buf []byte, vals []ast.Value) []byte {
 func (t Tuple) Key() string {
 	return string(appendKey(make([]byte, 0, 4*len(t)), t))
 }
+
+// AppendKey appends t's Key encoding to buf. A lookup m[string(buf)] with
+// buf on the caller's stack then allocates nothing.
+func (t Tuple) AppendKey(buf []byte) []byte { return appendKey(buf, t) }
 
 // Clone returns an independent copy of t.
 func (t Tuple) Clone() Tuple {
@@ -125,14 +132,19 @@ func hashVals(vals []ast.Value) uint64 {
 
 // Relation is a duplicate-free, append-only set of equal-arity tuples.
 // The zero value is not usable; create with New. A Relation (including its
-// cached indexes) is not safe for concurrent use; the engines give each
-// processor its own relations.
+// cached indexes) is not safe for concurrent use, and its first probe after
+// an AppendDisjoint writes the dedup table; the engines give each processor
+// its own relations.
 type Relation struct {
 	arity int
 	data  []ast.Value // flat arena: row i is data[i*arity:(i+1)*arity]
 	n     int         // number of rows
 	table []uint32    // open addressing, 0 = empty; see slot
 	mask  uint64      // len(table) - 1
+	// pending counts the last rows of the arena, appended by AppendDisjoint
+	// or AppendDisjointVals, that are not in the dedup table yet. Every
+	// method that reads or writes the table enters them first (settle).
+	pending int
 
 	// counts is the optional annotation column of counted mode (see
 	// EnableCounts): counts[i] is row i's derivation count. nil means plain
@@ -266,6 +278,9 @@ func (r *Relation) InsertRow(t Tuple) (row int, fresh bool) {
 	if r.counts != nil {
 		panic("relation: InsertRow on a counted relation")
 	}
+	if r.pending != 0 {
+		r.settle()
+	}
 	h := hashVals(t)
 	i, row := r.find(t, h)
 	if row >= 0 {
@@ -300,8 +315,9 @@ func (r *Relation) growArena() {
 func (r *Relation) growTable() { r.rehash(len(r.table) * 2) }
 
 // rehash rebuilds the hash table at size slots (a power of two), rehashing
-// every row from the arena. Superseded rows (counted mode) are skipped:
-// only the canonical physical row of each tuple lives in the table.
+// every row from the arena, pending rows included. Superseded rows (counted
+// mode) are skipped: only the canonical physical row of each tuple lives in
+// the table.
 func (r *Relation) rehash(size int) {
 	nt := make([]uint32, size)
 	mask := uint64(size - 1)
@@ -318,31 +334,59 @@ func (r *Relation) rehash(size int) {
 	}
 	r.table = nt
 	r.mask = mask
+	r.pending = 0
 }
 
-// Grow makes room for n more rows: the arena and the dedup table are sized
-// once, so a bulk load of up to n rows neither reallocates the arena nor
-// rehashes midway.
-func (r *Relation) Grow(n int) {
-	need := r.n + n
-	if cap(r.data) < need*r.arity {
-		data := make([]ast.Value, len(r.data), need*r.arity)
-		copy(data, r.data)
-		r.data = data
-	}
+// sizeTable makes the dedup table hold need rows below its 3/4 load and
+// enters the pending rows into it, in one pass over the arena when the
+// table has to grow.
+func (r *Relation) sizeTable(need int) {
 	size := len(r.table)
 	for uint64(need)*4 >= uint64(size)*3 {
 		size *= 2
 	}
 	if size > len(r.table) {
 		r.rehash(size)
+		return
+	}
+	for row := r.n - r.pending; row < r.n; row++ {
+		h := r.hashRow(row)
+		i := h & r.mask
+		for r.table[i] != 0 {
+			i = (i + 1) & r.mask
+		}
+		r.table[i] = slot(row, h, r.mask)
+	}
+	r.pending = 0
+}
+
+// settle enters the pending rows into the dedup table. Every probe calls it
+// first, so the table is built by the first probe that needs it.
+func (r *Relation) settle() { r.sizeTable(r.n) }
+
+// Grow makes room for n more rows: the arena and the dedup table are sized
+// once, so a bulk load of up to n rows neither reallocates the arena nor
+// rehashes midway.
+func (r *Relation) Grow(n int) {
+	r.GrowArena(n)
+	r.sizeTable(r.n + n)
+}
+
+// GrowArena makes room in the arena for n more rows without touching the
+// dedup table: the sizing for a bulk AppendDisjointVals, whose rows enter
+// the table only when something probes the relation.
+func (r *Relation) GrowArena(n int) {
+	if need := (r.n + n) * r.arity; cap(r.data) < need {
+		data := make([]ast.Value, len(r.data), need)
+		copy(data, r.data)
+		r.data = data
 	}
 }
 
 // AppendDisjoint appends every row of each src to r. The caller guarantees
 // that the relations are pairwise disjoint and disjoint from r, so no row is
-// compared against a stored one: the arena and the dedup table are sized
-// once for the total, and each row's hash only finds it an empty slot.
+// compared against a stored one: the arena is sized once for the total, and
+// the rows enter the dedup table only when something probes r (settle).
 // Plain set mode only; AppendDisjoint panics on a counted relation or an
 // arity mismatch.
 func (r *Relation) AppendDisjoint(srcs ...*Relation) {
@@ -353,48 +397,35 @@ func (r *Relation) AppendDisjoint(srcs ...*Relation) {
 		}
 		more += s.n
 	}
-	r.Grow(more)
+	r.GrowArena(more)
 	for _, s := range srcs {
 		r.data = append(r.data, s.data[:s.n*s.arity]...)
-		r.hashAppended(s.n)
 	}
+	r.n += more
+	r.pending += more
 }
 
 // AppendDisjointVals appends k rows whose values fill writes straight into
 // the arena: fill gets the k·arity values to set. The caller guarantees, as
 // for AppendDisjoint, that the rows are pairwise distinct and not yet in r,
-// so each row's hash only finds it an empty slot. When fill fails, r is
-// left as it was and the error is returned. The caller bounds k: the arena
-// and the dedup table grow to hold it. Plain set mode only;
-// AppendDisjointVals panics on a counted relation.
+// so they enter the dedup table only when something probes r. When fill
+// fails, r is left as it was and the error is returned. The caller bounds
+// k: the arena grows to hold it. Plain set mode only; AppendDisjointVals
+// panics on a counted relation.
 func (r *Relation) AppendDisjointVals(k int, fill func(vals []ast.Value) error) error {
 	if r.counts != nil {
 		panic("relation: AppendDisjointVals on a counted relation")
 	}
-	r.Grow(k)
+	r.GrowArena(k)
 	base := len(r.data)
 	r.data = r.data[:base+k*r.arity]
 	if err := fill(r.data[base:]); err != nil {
 		r.data = r.data[:base]
 		return err
 	}
-	r.hashAppended(k)
-	return nil
-}
-
-// hashAppended enters the k rows appended to the arena after row r.n into
-// the dedup table, each in the first empty slot its hash finds. The table
-// must already have room for them (Grow).
-func (r *Relation) hashAppended(k int) {
-	for row := r.n; row < r.n+k; row++ {
-		h := r.hashRow(row)
-		i := h & r.mask
-		for r.table[i] != 0 {
-			i = (i + 1) & r.mask
-		}
-		r.table[i] = slot(row, h, r.mask)
-	}
 	r.n += k
+	r.pending += k
+	return nil
 }
 
 // Flat returns the rows from row from on as one batch over the arena,
@@ -414,6 +445,9 @@ func (r *Relation) Flat(from int) Batch {
 func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
+	}
+	if r.pending != 0 {
+		r.settle()
 	}
 	_, row := r.find(t, hashVals(t))
 	return row >= 0 && (r.counts == nil || r.counts[row] > 0)
@@ -450,16 +484,18 @@ func (r *Relation) Row(i int) Tuple {
 }
 
 // Clone returns an independent deep copy: the arena and dedup table are
-// copied wholesale, with no per-tuple rehashing. Indexes are not copied;
-// they rebuild lazily.
+// copied wholesale, with no per-tuple rehashing, and rows not yet in the
+// table stay pending in the copy. Indexes are not copied; they rebuild
+// lazily.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{
-		arity: r.arity,
-		data:  append([]ast.Value(nil), r.data...),
-		n:     r.n,
-		table: append([]uint32(nil), r.table...),
-		mask:  r.mask,
-		junk:  r.junk,
+		arity:   r.arity,
+		data:    append([]ast.Value(nil), r.data...),
+		n:       r.n,
+		table:   append([]uint32(nil), r.table...),
+		mask:    r.mask,
+		pending: r.pending,
+		junk:    r.junk,
 	}
 	if r.counts != nil {
 		// Not append to nil: an empty counted relation clones counted.

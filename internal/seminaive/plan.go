@@ -97,11 +97,12 @@ type slotOrConst struct {
 }
 
 // compiledConstraint is a HashConstraint with its arguments resolved to
-// slots.
+// slots; k is its index in the rule's Constraints.
 type compiledConstraint struct {
 	h     *ast.HashFunc
 	slots []int
 	proc  int
+	k     int
 }
 
 // atomExec is one body atom compiled against the boundness state of its
@@ -318,12 +319,12 @@ func compile(rule ast.Rule, ranges []RangeKind, pre []string) *Plan {
 
 	// Attach each constraint to the earliest execution position where all of
 	// its variables are bound.
-	for _, c := range rule.Constraints {
+	for k, c := range rule.Constraints {
 		hc, ok := c.(*ast.HashConstraint)
 		if !ok {
 			panic(fmt.Sprintf("seminaive: cannot compile constraint type %T", c))
 		}
-		cc := compiledConstraint{h: hc.H, proc: hc.Proc}
+		cc := compiledConstraint{h: hc.H, proc: hc.Proc, k: k}
 		for _, v := range hc.Args {
 			cc.slots = append(cc.slots, slot(v))
 		}
@@ -390,6 +391,28 @@ func (p *Plan) Moved() int {
 // marks variable-free constraints checked once before enumeration. A
 // position before the last join level means the constraint was pushed down.
 func (p *Plan) ConstraintPositions() []int { return p.constraintPos }
+
+// DropImplied removes the runtime check of rule constraint k when the plan
+// checks it at the level of body atom atom, and reports whether it did. The
+// caller has proven that every row atom's relation can hold satisfies the
+// constraint, so the check there decides nothing. Where an earlier level
+// binds the constraint's variables the check prunes the join, and stays.
+// The rule keeps the constraint, and ConstraintPositions still reports
+// where it was attached.
+func (p *Plan) DropImplied(k, atom int) bool {
+	pos := p.constraintPos[k]
+	if pos < 0 || p.Order[pos] != atom {
+		return false
+	}
+	ae := &p.atoms[pos]
+	for i, cc := range ae.constraints {
+		if cc.k == k {
+			ae.constraints = append(ae.constraints[:i:i], ae.constraints[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
 
 // Pushdowns counts constraints checked strictly before the final join
 // level — the ones whose early placement prunes the enumeration.

@@ -82,22 +82,35 @@ func appendValues(dst []byte, vals []ast.Value) []byte {
 
 // DecodeFlat decodes one batch into a single pointer-free value slice.
 func DecodeFlat(raw []byte) (relation.Batch, error) {
-	b, _, err := decodeBatch(raw)
+	b, _, _, err := decodeBatch(nil, raw)
 	return b, err
 }
 
-// decodeBatch decodes the batch at the head of raw, reading each value
-// once, and returns the bytes after it.
-func decodeBatch(raw []byte) (relation.Batch, []byte, error) {
+// DecodeAppend decodes one batch into values appended to buf, and returns
+// the batch, a window of the returned buffer, with that buffer. A receiver
+// that decodes every batch of a step into one buffer, reused across steps
+// from its start, allocates only when the buffer grows; each batch stays
+// valid until the buffer is reused.
+func DecodeAppend(buf []ast.Value, raw []byte) (relation.Batch, []ast.Value, error) {
+	b, buf, _, err := decodeBatch(buf, raw)
+	return b, buf, err
+}
+
+// decodeBatch decodes the batch at the head of raw into values appended to
+// buf, reading each value once, and returns the batch, the grown buffer and
+// the bytes after the batch. On error buf comes back as it was.
+func decodeBatch(buf []ast.Value, raw []byte) (relation.Batch, []ast.Value, []byte, error) {
 	count, arity, rest, err := batchHeader(raw)
 	if err != nil || count == 0 {
-		return relation.Batch{}, rest, err
+		return relation.Batch{}, buf, rest, err
 	}
-	flat := make([]ast.Value, count*arity)
+	base, end := len(buf), len(buf)+count*arity
+	grown := slices.Grow(buf, count*arity)[:end]
+	flat := grown[base:end:end]
 	if rest, err = decodeValues(rest, flat); err != nil {
-		return relation.Batch{}, nil, err
+		return relation.Batch{}, buf, nil, err
 	}
-	return relation.Batch{Arity: arity, N: count, Vals: flat}, rest, nil
+	return relation.Batch{Arity: arity, N: count, Vals: flat}, grown, rest, nil
 }
 
 // DecodeInto decodes one batch and appends its tuples to dst with no dedup
@@ -231,7 +244,7 @@ func DecodeSnapshot(raw []byte, fn func(pred string, b relation.Batch) error) er
 		}
 		pred := string(raw[n : n+int(nameLen)])
 		raw = raw[n+int(nameLen):]
-		b, rest, err := decodeBatch(raw)
+		b, _, rest, err := decodeBatch(nil, raw)
 		if err != nil {
 			return err
 		}

@@ -167,6 +167,7 @@ func evalParallelStratified(ctx context.Context, p *Program, edb Store, opts Eva
 			cur.TuplesSent += ps.TuplesSent
 			cur.TuplesReceived += ps.TuplesReceived
 			cur.DupReceived += ps.DupReceived
+			cur.Unhomed += ps.Unhomed
 			cur.Iterations += ps.Iterations
 			cur.Busy += ps.Busy
 			cur.EDBTuples += ps.EDBTuples
