@@ -24,8 +24,8 @@
 // Data batches, checkpoint snapshots and the final outputs travel in
 // internal/wire's compact varint encoding (checksummed with FNV over the
 // encoded bytes); only the low-rate control envelope is gob. The
-// -max-queue-bytes and -max-memory-bytes budgets are therefore measured
-// over those encoded payload sizes.
+// -max-memory-bytes budget is therefore measured over those encoded
+// payload sizes.
 //
 // Either role serves live telemetry with -metrics-addr ADDR: Prometheus
 // text at /metrics, a JSON aggregate snapshot at /debug/parlog, and (with
@@ -85,11 +85,8 @@ func main() {
 		rebCooldown  = flag.Duration("rebalance-cooldown", 0, "coordinator: minimum gap between migration decisions (default 2x interval)")
 		rebMax       = flag.Int("rebalance-max", 0, "coordinator: migrations allowed per run (0 = unlimited)")
 
-		ckptEvery    = flag.Int("checkpoint-every", 0, "coordinator: checkpoint a bucket after N logged batches (0 disables)")
-		ckptInterval = flag.Duration("checkpoint-interval", 0, "coordinator: checkpoint buckets with a non-empty log at this period (0 disables)")
-		maxInflight  = flag.Int("max-inflight", 0, "coordinator: per-worker in-flight data batch limit (0 = unlimited)")
-		maxQueue     = flag.Int64("max-queue-bytes", 0, "coordinator: resident outbound data byte limit, split into per-worker credits (0 = unlimited)")
-		maxMemory    = flag.Int64("max-memory-bytes", 0, "coordinator: shared budget over logs+checkpoints+queues; overruns force checkpoints, then fail fast (0 = unlimited)")
+		ckptEvery = flag.Int("checkpoint-every", 0, "coordinator: checkpoint a bucket at the first barrier after N logged batches (0 disables)")
+		maxMemory = flag.Int64("max-memory-bytes", 0, "coordinator: budget over send logs+checkpoints; overruns force checkpoints, then fail fast (0 = unlimited)")
 
 		metricsAddr = flag.String("metrics-addr", "", "serve live Prometheus metrics (plus /debug/parlog JSON) on this address")
 		pprofF      = flag.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr server")
@@ -196,18 +193,15 @@ func main() {
 				Cooldown:      *rebCooldown,
 				MaxMigrations: *rebMax,
 			},
-			Addr:               *listen,
-			HeartbeatInterval:  *hbeat,
-			WorkerDeadline:     *deadline,
-			CheckpointEvery:    *ckptEvery,
-			CheckpointInterval: *ckptInterval,
-			MaxInflightBatches: *maxInflight,
-			MaxQueueBytes:      *maxQueue,
-			MaxMemoryBytes:     *maxMemory,
-			ProcIDs:            compiled.Procs.IDs(),
-			Profile:            *profileF,
-			Ctx:                ctx,
-			Sink:               sink,
+			Addr:              *listen,
+			HeartbeatInterval: *hbeat,
+			WorkerDeadline:    *deadline,
+			CheckpointEvery:   *ckptEvery,
+			MaxMemoryBytes:    *maxMemory,
+			ProcIDs:           compiled.Procs.IDs(),
+			Profile:           *profileF,
+			Ctx:               ctx,
+			Sink:              sink,
 		}, compiled.IDB)
 		if err != nil {
 			fatal(err)
@@ -245,8 +239,7 @@ func main() {
 		if res.Checkpoints > 0 || res.TruncatedBatches > 0 {
 			log.Info("durability summary",
 				"checkpoints", res.Checkpoints,
-				"truncated_batches", res.TruncatedBatches,
-				"peak_queue_bytes", res.PeakQueueBytes)
+				"truncated_batches", res.TruncatedBatches)
 		}
 		for _, rec := range res.Recoveries {
 			log.Info("recovered bucket",

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,30 +39,6 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	}
 	if m.TruncatedBatches != res.TruncatedBatches {
 		t.Errorf("sink counted %d truncated batches, result says %d", m.TruncatedBatches, res.TruncatedBatches)
-	}
-}
-
-// TestCheckpointIntervalTrigger: the timer trigger alone must also produce
-// checkpoints on a workload that keeps logs non-empty.
-func TestCheckpointIntervalTrigger(t *testing.T) {
-	src := ancestorRules + randomParFacts(40, 120, 12)
-	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-
-	// Slow the workers' writes a little so the run spans several timer
-	// periods.
-	in := fault.New(fault.Schedule{Delay: 300 * time.Microsecond})
-	res, err := Run(p, edb, Config{
-		CheckpointInterval: 2 * time.Millisecond,
-		WorkerDial:         func(wi int) DialFunc { return in.Dial },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq["anc"].Equal(res.Output["anc"]) {
-		t.Fatal("interval-checkpointed run differs from sequential least model")
-	}
-	if res.Checkpoints == 0 {
-		t.Error("no checkpoints accepted with a 2ms interval trigger")
 	}
 }
 
@@ -153,23 +130,37 @@ func TestCheckpointFaults(t *testing.T) {
 	}
 }
 
-// TestCheckpointKillDuringCheckpointing kills a worker while checkpoint
-// traffic is in flight on every tick (a 1ms interval trigger):
-// requests racing the death, replies from a worker already declared dead
-// and pending requests to a dead owner must all resolve safely.
+// armOnRequest is a Recorder that arms in at the coordinator's n-th
+// checkpoint request for bucket. The count trigger requests at a barrier,
+// and only for a bucket that the step just ended routed batches to, so
+// the run has a next step. The owner answers in that step's turn, after
+// its data batches, so its next write — the kill — comes before the reply.
+type armOnRequest struct {
+	*obs.Recorder
+	in        *fault.Injector
+	bucket, n int
+	seen      atomic.Int32
+}
+
+func (s *armOnRequest) CheckpointStart(bucket, proc int) {
+	s.Recorder.CheckpointStart(bucket, proc)
+	if bucket == s.bucket && int(s.seen.Add(1)) >= s.n {
+		s.in.Arm()
+	}
+}
+
+// TestCheckpointKillDuringCheckpointing kills a worker while a checkpoint
+// request for its bucket is outstanding: the pending request to a dead
+// owner must resolve safely and the recovery must stay exact.
 func TestCheckpointKillDuringCheckpointing(t *testing.T) {
 	src := ancestorRules + randomParFacts(40, 120, 6)
 	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
 
-	// The third batch routed to bucket 1 arms the kill: by then its second
-	// batch has triggered a checkpoint request for the bucket.
+	// The second request for bucket 1 arms the kill, so one checkpoint
+	// has truncated the bucket's log before it dies.
 	dial, in := injectorDial(1, fault.Schedule{Seed: 6, KillConn: 1})
-	res, err := Run(p, edb, Config{
-		CheckpointEvery:    2,
-		CheckpointInterval: time.Millisecond,
-		RouteFault:         armOnRoute(in, 1, 3),
-		WorkerDial:         dial,
-	})
+	sink := &armOnRequest{Recorder: obs.NewRecorder(), in: in, bucket: 1, n: 2}
+	res, err := Run(p, edb, Config{CheckpointEvery: 2, WorkerDial: dial, Sink: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,6 +170,23 @@ func TestCheckpointKillDuringCheckpointing(t *testing.T) {
 	if len(res.Deaths) != 1 {
 		t.Fatalf("Deaths = %v, want one", res.Deaths)
 	}
+	// The coordinator emits these events under one mutex, so the
+	// recorder's order is the order it saw them in.
+	outstanding := 0
+	for _, e := range sink.Events() {
+		switch {
+		case e.Kind == obs.KindCheckpointStart && e.Bucket == 1:
+			outstanding++
+		case e.Kind == obs.KindCheckpointEnd && e.Bucket == 1:
+			outstanding--
+		case e.Kind == obs.KindWorkerDead:
+			if outstanding == 0 {
+				t.Fatal("worker 1 died with no checkpoint request outstanding for its bucket")
+			}
+			return
+		}
+	}
+	t.Fatal("no WorkerDead event recorded")
 }
 
 // TestCheckpointEquivalenceLockstep is the golden equivalence check: the
@@ -214,69 +222,6 @@ func TestCheckpointEquivalenceLockstep(t *testing.T) {
 	}
 }
 
-// TestBackpressureBoundsQueueMemory: with the coordinator's writes slowed
-// (congested links via the listener-side injector), an unthrottled run
-// piles data into the coordinator's queues past the budget, while the
-// credit-gated run keeps the peak at or under MaxQueueBytes. Unthrottled,
-// this workload peaks at about 2.5KB: one superstep's batches for one
-// destination, queued behind the slowed writes.
-func TestBackpressureBoundsQueueMemory(t *testing.T) {
-	const limit = 1024
-	src := ancestorRules + randomParFacts(40, 120, 14)
-
-	run := func(maxQueue int64, cs *obs.Counting) *Result {
-		t.Helper()
-		p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-		in := fault.New(fault.Schedule{Delay: time.Millisecond})
-		cfg := Config{
-			MaxQueueBytes:  maxQueue,
-			WrapListener:   in.Listener,
-			WorkerDeadline: 20 * time.Second,
-			Timeout:        60 * time.Second,
-		}
-		if cs != nil {
-			cfg.Sink = cs
-		}
-		res, err := Run(p, edb, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seq["anc"].Equal(res.Output["anc"]) {
-			t.Fatal("throttled run differs from sequential least model")
-		}
-		return res
-	}
-
-	baseline := run(0, nil)
-	if baseline.PeakQueueBytes <= limit {
-		t.Fatalf("unthrottled baseline peaked at %d bytes, need > %d for the comparison to mean anything",
-			baseline.PeakQueueBytes, limit)
-	}
-
-	cs := obs.NewCounting()
-	bounded := run(limit, cs)
-	if bounded.PeakQueueBytes > limit {
-		t.Errorf("credit-gated run peaked at %d bytes, want <= MaxQueueBytes %d", bounded.PeakQueueBytes, limit)
-	}
-	if cs.Snapshot().CreditStalls == 0 {
-		t.Error("no CreditStall events: the gate never blocked, so the bound was not exercised")
-	}
-}
-
-// TestMaxInflightBatches: the batch-count credit alone must also bound the
-// queues and preserve exactness.
-func TestMaxInflightBatches(t *testing.T) {
-	src := ancestorRules + randomParFacts(40, 120, 15)
-	p, edb, seq := buildAncestorQ(t, src, 3, []string{"Z"}, []string{"X"})
-	res, err := Run(p, edb, Config{MaxInflightBatches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !seq["anc"].Equal(res.Output["anc"]) {
-		t.Fatal("inflight-limited run differs from sequential least model")
-	}
-}
-
 // TestMemoryBudgetForcesCheckpoints: a budget big enough to finish but
 // smaller than the run's natural log footprint must trigger memory
 // pressure, force early checkpoints, and still complete exactly.
@@ -300,7 +245,7 @@ func TestMemoryBudgetForcesCheckpoints(t *testing.T) {
 	in := fault.New(fault.Schedule{Delay: 200 * time.Microsecond})
 	// The budget sits between this workload's irreducible checkpoint
 	// footprint (~12KB of wire-encoded condensed state, measured) and its
-	// unchecked log footprint (~22KB plus queues, measured), so pressure
+	// unchecked log footprint (~22KB, measured), so pressure
 	// must fire and forced truncation must be what keeps the run inside it.
 	res, err := Run(p2, edb2, Config{
 		MaxMemoryBytes: 16 * 1024,

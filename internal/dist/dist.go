@@ -21,21 +21,16 @@
 // original execution, so the run still computes the exact least model
 // (receivers drop rederived tuples by difference, as always).
 //
-// Memory is bounded by three cooperating mechanisms. Periodic bucket
-// checkpoints (Config.CheckpointEvery / CheckpointInterval) ask a bucket's
-// owner for its derived-tuple set; once a checksummed checkpoint is stored,
-// the send-log prefix it covers is truncated, turning recovery from
-// O(full history) into O(checkpoint + suffix). Credit-based flow control
-// (Config.MaxInflightBatches / MaxQueueBytes) bounds the data resident in
-// the coordinator's queues: each worker holds a byte/batch credit and
-// blocks before sending past it; credit returns only when the batch leaves
-// coordinator memory. Control traffic — joins, heartbeats, step messages,
-// adopts, checkpoints, credit grants — bypasses the data credit entirely,
-// so liveness and the barrier can never deadlock behind full data queues.
-// Finally a shared budget (Config.MaxMemoryBytes) across logs, checkpoints
-// and queues first forces an early checkpoint+truncate cycle under
-// pressure and, only if still over budget once that cycle resolves, fails
-// fast with ErrResourceExhausted instead of OOMing.
+// The coordinator's memory is its send logs and stored checkpoints; a
+// queued batch is the same payload its bucket's log holds, and the data in
+// flight is one superstep's output. Bucket checkpoints
+// (Config.CheckpointEvery) ask a bucket's owner for its derived-tuple set;
+// once a checksummed checkpoint is stored, the send-log prefix it covers is
+// truncated, turning recovery from O(full history) into
+// O(checkpoint + suffix). A budget over logs and checkpoints
+// (Config.MaxMemoryBytes) first forces an early checkpoint+truncate cycle
+// under pressure and, only if still over budget once that cycle resolves,
+// fails fast with ErrResourceExhausted instead of OOMing.
 //
 // The run is internal/parallel's superstep loop over TCP. Each worker holds
 // the batches routed to it until the coordinator's step k message, takes
@@ -48,11 +43,11 @@
 // step k is not the last. With no fault, every bucket's counters but Busy
 // equal parallel.RunLockstep's.
 //
-// Liveness, the checkpoint timer, the memory budget and the rebalancer run
-// at every barrier and on one ticker, at half the shortest of
-// HeartbeatInterval, CheckpointInterval and Rebalance.Interval. Each tick
-// pings every live worker, whose reader answers even mid-turn; a worker
-// silent past Config.WorkerDeadline, or whose connection breaks, is
+// Liveness, the memory budget and the rebalancer run at every barrier and
+// on one ticker, at half the shorter of HeartbeatInterval and
+// Rebalance.Interval; the checkpoint trigger runs at barriers only. Each
+// tick pings every live worker, whose reader answers even mid-turn; a
+// worker silent past Config.WorkerDeadline, or whose connection breaks, is
 // declared dead.
 //
 // The wire format is hybrid: gob carries the envelope (wireMsg) for the
@@ -60,8 +55,8 @@
 // checkpoint snapshots, the final outputs — travel inside it as opaque
 // byte blobs encoded by internal/wire's varint codec. The coordinator
 // verifies a snapshot's FNV checksum over those bytes, stores the blob
-// verbatim and replays it verbatim on adopt; the byte length is the
-// credit/memory accounting unit both ends agree on for free.
+// verbatim and replays it verbatim on adopt; the byte length is the memory
+// accounting unit.
 //
 // Workers may run as goroutines in the same process (Run) or as separate OS
 // processes (cmd/dldist + RunWorker); the wire protocol is identical. For
@@ -125,7 +120,6 @@ const (
 	kindOutput                             // worker → coordinator: pooled outputs + stats
 	kindCheckpointReq                      // coordinator → worker: snapshot one hosted bucket
 	kindCheckpointReply                    // worker → coordinator: the bucket's derived-tuple set + checksum
-	kindCredit                             // coordinator → worker: return send credit
 	kindRelease                            // coordinator → worker: stop hosting a bucket (it migrated away)
 	kindStep                               // coordinator → worker: take the turn of step Step (step 0 starts the run)
 	kindStepDone                           // worker → coordinator: turn Step taken, after its last data batch
@@ -160,15 +154,10 @@ type wireMsg struct {
 	// chain survives worker death.
 	Span   uint64 // Data: this batch's span id (0 = untracked)
 	Parent uint64 // Data: the span that caused this batch (0 = initialization)
-	// Credit fields: the initial grant on step 0, replenishment on Credit.
-	Credits     int   // data batches the receiver may have in flight (0 = unlimited on step 0)
-	CreditBytes int64 // data bytes the receiver may have resident at the coordinator (0 = unlimited on step 0)
 }
 
-// dataCost is the resident size of one data batch — the encoded payload
-// plus the envelope — the accounting unit of the credit and memory
-// ledgers. Workers and the coordinator charge the same byte slice, so
-// debits and grants agree without shipping sizes over the wire.
+// dataCost is the resident size of one logged data batch — the encoded
+// payload plus the envelope — the accounting unit of the memory budget.
 func dataCost(raw []byte) int64 {
 	return 96 + int64(len(raw))
 }
@@ -264,27 +253,15 @@ type Config struct {
 
 	// CheckpointEvery requests a checkpoint of a bucket at the first
 	// barrier by which that many data batches have been logged for it
-	// since its last checkpoint; 0 disables the count trigger.
+	// since its last checkpoint; 0 disables checkpoints. It bounds
+	// recovery replay to the log suffix since the last accepted
+	// checkpoint.
 	CheckpointEvery int
-	// CheckpointInterval requests a checkpoint of every bucket with a
-	// non-empty send log at this period; 0 disables the timer trigger.
-	// Either trigger bounds recovery replay to the log suffix since the
-	// last accepted checkpoint.
-	CheckpointInterval time.Duration
-	// MaxInflightBatches bounds the data batches each worker may have
-	// unacknowledged at the coordinator; senders block until credit
-	// returns. 0 means unlimited.
-	MaxInflightBatches int
-	// MaxQueueBytes bounds the estimated bytes of data batches resident
-	// in the coordinator's outbound queues, split evenly into per-worker
-	// byte credits; credit returns only when a batch has been handed to
-	// the destination's TCP stream. 0 means unlimited.
-	MaxQueueBytes int64
-	// MaxMemoryBytes is a shared budget over send logs, stored
-	// checkpoints and queued batches. When exceeded the coordinator
-	// forces an early checkpoint+truncate cycle; if the budget is still
-	// exceeded once that cycle resolves, the run fails with an error
-	// wrapping ErrResourceExhausted. 0 means unlimited.
+	// MaxMemoryBytes is a budget over send logs and stored checkpoints.
+	// When exceeded the coordinator forces an early checkpoint+truncate
+	// cycle; if the budget is still exceeded once that cycle resolves, the
+	// run fails with an error wrapping ErrResourceExhausted. 0 means
+	// unlimited.
 	MaxMemoryBytes int64
 	// LocalCheckpoints makes recovery adopt from worker-local disk:
 	// adopt messages carry only the accepted checkpoint's checksum, and
@@ -328,13 +305,13 @@ type Config struct {
 	RebalanceFault func(*network.Candidate)
 
 	// Ctx, when non-nil, cancels the run: every blocking path (accept,
-	// decode, queue waits, credit waits, the barrier) unblocks promptly.
+	// decode, queue waits, the barrier) unblocks promptly.
 	Ctx context.Context
 	// Sink, when non-nil, receives the coordinator's and (for in-process
 	// workers started by Run) the workers' event stream, including the
 	// fault-tolerance events (heartbeat misses, deaths, reassignments,
 	// replays) and the bounded-memory events (checkpoints, truncations,
-	// credit stalls, memory pressure).
+	// memory pressure).
 	Sink obs.EventSink
 	// ProcIDs maps dense worker indices to paper-level processor ids for
 	// event labeling; nil labels events with the dense index.
@@ -391,9 +368,6 @@ func (c *Config) tick() time.Duration {
 	d := c.HeartbeatInterval
 	if c.Rebalance.Enabled {
 		d = min(d, c.Rebalance.Interval)
-	}
-	if c.CheckpointInterval > 0 {
-		d = min(d, c.CheckpointInterval)
 	}
 	return max(d/2, 1)
 }
@@ -454,9 +428,6 @@ type Result struct {
 	// TruncatedBatches counts logged batches dropped because an accepted
 	// checkpoint covered them.
 	TruncatedBatches int64
-	// PeakQueueBytes is the high-water mark of estimated data bytes
-	// resident in the coordinator's outbound queues.
-	PeakQueueBytes int64
 	// DroppedBatches counts data batches addressed to out-of-range
 	// buckets, discarded (and reported) by the router.
 	DroppedBatches int64
@@ -495,28 +466,14 @@ type Result struct {
 	WorkerBusy []int64
 }
 
-// qmsg is one queued wire message plus the coordinator-side ledger fields:
-// cost is the dataCost of a data batch (0 for control), sender the dense
-// index of the worker owed credit once the batch leaves coordinator memory
-// (-1 for control and replayed batches).
-type qmsg struct {
-	m      wireMsg
-	cost   int64
-	sender int
-}
-
-// control wraps a control-plane message as a zero-cost queue entry.
-func control(m wireMsg) qmsg { return qmsg{m: m, sender: -1} }
-
 // queue is an unbounded FIFO of wire messages with close semantics: pop
 // drains remaining messages before reporting closed, so a writer can flush
-// everything enqueued before shutdown. Boundedness of the data plane is
-// enforced by the credit gate at the senders, not structurally here, which
-// is what lets control traffic bypass the data credit. One consumer per
-// queue.
+// everything enqueued before shutdown. On the coordinator a queued data
+// batch shares its payload with its bucket's send log, so the queues hold
+// no memory the logs do not. One consumer per queue.
 type queue struct {
 	mu     sync.Mutex
-	msgs   []qmsg
+	msgs   []wireMsg
 	head   int
 	closed bool
 	notify chan struct{}
@@ -532,7 +489,7 @@ func (q *queue) signal() {
 }
 
 // push enqueues m unless the queue is closed.
-func (q *queue) push(m qmsg) {
+func (q *queue) push(m wireMsg) {
 	q.mu.Lock()
 	if !q.closed {
 		q.msgs = append(q.msgs, m)
@@ -543,12 +500,12 @@ func (q *queue) push(m qmsg) {
 
 // pop blocks until a message is available or the queue is closed and
 // drained.
-func (q *queue) pop() (qmsg, bool) {
+func (q *queue) pop() (wireMsg, bool) {
 	for {
 		q.mu.Lock()
 		if q.head < len(q.msgs) {
 			m := q.msgs[q.head]
-			q.msgs[q.head] = qmsg{} // release tuple memory
+			q.msgs[q.head] = wireMsg{} // release tuple memory
 			q.head++
 			if q.head == len(q.msgs) {
 				q.msgs = q.msgs[:0]
@@ -560,7 +517,7 @@ func (q *queue) pop() (qmsg, bool) {
 		closed := q.closed
 		q.mu.Unlock()
 		if closed {
-			return qmsg{}, false
+			return wireMsg{}, false
 		}
 		<-q.notify
 	}
@@ -572,18 +529,6 @@ func (q *queue) close() {
 	q.closed = true
 	q.mu.Unlock()
 	q.signal()
-}
-
-// remaining empties the queue and returns what the consumer never popped;
-// the router refunds the credit of any data batches stranded there when a
-// worker dies.
-func (q *queue) remaining() []qmsg {
-	q.mu.Lock()
-	out := q.msgs[q.head:]
-	q.msgs = nil
-	q.head = 0
-	q.mu.Unlock()
-	return out
 }
 
 // Coordinator orchestrates one run. Create with NewCoordinator, hand its
@@ -638,18 +583,12 @@ type wkState struct {
 	output *wireMsg // final kindOutput, once received
 }
 
-// logEntry is one logged data batch with its ledger cost.
-type logEntry struct {
-	m    wireMsg
-	cost int64
-}
-
 // bucketState is the coordinator's bookkeeping for one hash bucket: who
 // hosts it, the send-log suffix since its last checkpoint, and the stored
 // checkpoint that replaces the truncated prefix during recovery.
 type bucketState struct {
 	owner    int
-	log      []logEntry
+	log      []wireMsg
 	logBase  int64 // absolute index of log[0]: batches truncated so far
 	logBytes int64
 
@@ -661,7 +600,6 @@ type bucketState struct {
 
 	pending       int   // outstanding checkpoint request id; 0 = none
 	pendingOffset int64 // log length (absolute) at request time
-	lastReq       time.Time
 
 	// Rebalancer load tracking: cumulative tuples routed to this bucket,
 	// the cumulative value at the last sample, and the sliding window of
@@ -672,8 +610,8 @@ type bucketState struct {
 }
 
 // router is the shared hub: bucket ownership, per-bucket send logs and
-// checkpoints, worker states, the credit/memory ledgers and the
-// death/recovery bookkeeping. One mutex guards it all — the data plane
+// checkpoints, worker states, the memory ledger and the death/recovery
+// bookkeeping. One mutex guards it all — the data plane
 // takes it once per batch, which is noise next to a gob encode.
 type router struct {
 	mu      sync.Mutex
@@ -693,12 +631,10 @@ type router struct {
 	recoveries []Recovery
 	fatal      error
 
-	// Ledgers (all estimated via dataCost/snapCost).
-	queueBytes int64 // data bytes resident in outbound queues
-	peakQueue  int64
-	logBytes   int64 // data bytes held by send logs
-	snapBytes  int64 // bytes held by stored checkpoints
-	pressured  bool  // over MaxMemoryBytes; a forced checkpoint cycle is in flight
+	// The memory ledger (estimated via dataCost/snapCost).
+	logBytes  int64 // data bytes held by send logs
+	snapBytes int64 // bytes held by stored checkpoints
+	pressured bool  // over MaxMemoryBytes; a forced checkpoint cycle is in flight
 
 	ckptSeq   int // checkpoint request id generator
 	ckpts     int // accepted checkpoints
@@ -728,10 +664,8 @@ func newRouter(cfg *Config, ws []*wkState) *router {
 		wake:     make(chan struct{}, 1),
 		outputCh: make(chan int, len(ws)),
 	}
-	now := time.Now()
 	for i := range r.buckets {
 		r.buckets[i].owner = InitialOwner(i, len(ws))
-		r.buckets[i].lastReq = now
 	}
 	return r
 }
@@ -815,45 +749,11 @@ func (r *router) routeLocked(w *wkState, m wireMsg) {
 	cost := dataCost(m.Raw)
 	bs := &r.buckets[m.Bucket]
 	bs.routed += int64(wire.BatchCount(m.Raw))
-	bs.log = append(bs.log, logEntry{m: m, cost: cost})
+	bs.log = append(bs.log, m)
 	bs.logBytes += cost
 	r.logBytes += cost
-	o := r.ws[bs.owner]
 	r.moved++
-	r.queueBytes += cost
-	if r.queueBytes > r.peakQueue {
-		r.peakQueue = r.queueBytes
-	}
-	o.out.push(qmsg{m: m, cost: cost, sender: w.index})
-}
-
-// settle retires one popped queue entry: the batch has left coordinator
-// memory (encoded to the destination's TCP stream, or stranded on a dead
-// connection), so its bytes leave the queue ledger and its credit returns
-// to the sender.
-func (r *router) settle(qm qmsg) {
-	if qm.m.Kind != kindData {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.queueBytes -= qm.cost
-	r.grantLocked(qm)
-}
-
-// grantLocked returns one batch's credit to its sender, if it is still
-// alive to use it. Caller holds the mutex.
-func (r *router) grantLocked(qm qmsg) {
-	if qm.sender < 0 || qm.sender >= len(r.ws) {
-		return
-	}
-	if r.cfg.MaxInflightBatches <= 0 && r.cfg.MaxQueueBytes <= 0 {
-		return
-	}
-	s := r.ws[qm.sender]
-	if s.alive {
-		s.out.push(control(wireMsg{Kind: kindCredit, Credits: 1, CreditBytes: qm.cost}))
-	}
+	r.ws[bs.owner].out.push(m)
 }
 
 // requestCheckpointLocked asks a bucket's owner for a snapshot covering
@@ -869,29 +769,25 @@ func (r *router) requestCheckpointLocked(b int) {
 	r.ckptSeq++
 	bs.pending = r.ckptSeq
 	bs.pendingOffset = bs.logBase + int64(len(bs.log))
-	bs.lastReq = time.Now()
-	o.out.push(control(wireMsg{Kind: kindCheckpointReq, Bucket: b, Probe: bs.pending}))
+	o.out.push(wireMsg{Kind: kindCheckpointReq, Bucket: b, Probe: bs.pending})
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.CheckpointStart(b, r.cfg.procID(o.index))
 	}
 }
 
-// checkCheckpoints fires the checkpoint triggers: the count trigger at
-// barriers only, so that without faults a run takes the same checkpoints
-// at the same steps every time, and the timer trigger at every check.
-// Called from the barrier loop.
-func (r *router) checkCheckpoints(now time.Time, barrier bool) {
+// checkCheckpoints requests a checkpoint of every bucket that has logged
+// CheckpointEvery batches since its last one. It runs at barriers only, so
+// without faults a run takes the same checkpoints at the same steps every
+// time. Called from the barrier loop.
+func (r *router) checkCheckpoints() {
+	if r.cfg.CheckpointEvery <= 0 {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for b := range r.buckets {
 		bs := &r.buckets[b]
-		if bs.pending != 0 || len(bs.log) == 0 {
-			continue
-		}
-		count := barrier && r.cfg.CheckpointEvery > 0 &&
-			bs.logBase+int64(len(bs.log))-bs.snapOffset >= int64(r.cfg.CheckpointEvery)
-		timer := r.cfg.CheckpointInterval > 0 && now.Sub(bs.lastReq) >= r.cfg.CheckpointInterval
-		if count || timer {
+		if bs.pending == 0 && bs.logBase+int64(len(bs.log))-bs.snapOffset >= int64(r.cfg.CheckpointEvery) {
 			r.requestCheckpointLocked(b)
 		}
 	}
@@ -947,10 +843,10 @@ func (r *router) noteCheckpointLocked(w *wkState, m wireMsg) {
 	}
 	if cut > 0 {
 		var freed int64
-		for _, le := range bs.log[:cut] {
-			freed += le.cost
+		for _, m := range bs.log[:cut] {
+			freed += dataCost(m.Raw)
 		}
-		bs.log = append([]logEntry(nil), bs.log[cut:]...)
+		bs.log = append([]wireMsg(nil), bs.log[cut:]...)
 		bs.logBase = off
 		bs.logBytes -= freed
 		r.logBytes -= freed
@@ -961,8 +857,8 @@ func (r *router) noteCheckpointLocked(w *wkState, m wireMsg) {
 	}
 }
 
-// checkMemory enforces the shared budget across logs, checkpoints and
-// queues: on first overrun it forces an early checkpoint+truncate cycle;
+// checkMemory enforces the budget over send logs and stored checkpoints:
+// on first overrun it forces an early checkpoint+truncate cycle;
 // if the budget is still exceeded once no checkpoint requests remain in
 // flight and no log is left to truncate, it fails the run fast with
 // ErrResourceExhausted. Called from the barrier loop.
@@ -972,7 +868,7 @@ func (r *router) checkMemory() {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	used := r.logBytes + r.snapBytes + r.queueBytes
+	used := r.logBytes + r.snapBytes
 	if used <= r.cfg.MaxMemoryBytes {
 		r.pressured = false
 		return
@@ -1019,17 +915,19 @@ func (r *router) ping() {
 	defer r.mu.Unlock()
 	for _, w := range r.ws {
 		if w.alive {
-			w.out.push(control(wireMsg{Kind: kindPing}))
+			w.out.push(wireMsg{Kind: kindPing})
 		}
 	}
 }
 
-// checks runs liveness, the checkpoint timer, the memory budget and the
-// rebalancer, and returns the run's fatal error, if any. Called from the
-// barrier loop, at every barrier and tick.
+// checks runs liveness, the checkpoint trigger (at barriers), the memory
+// budget and the rebalancer, and returns the run's fatal error, if any.
+// Called from the barrier loop, at every barrier and tick.
 func (r *router) checks(now time.Time, barrier bool) error {
 	r.checkLiveness(now)
-	r.checkCheckpoints(now, barrier)
+	if barrier {
+		r.checkCheckpoints()
+	}
 	r.checkMemory()
 	r.checkRebalance(now)
 	r.mu.Lock()
@@ -1071,20 +969,12 @@ func (r *router) checkLiveness(now time.Time) {
 // every bucket w hosted is reassigned to the least-loaded survivor, which
 // is told to adopt it — installing the bucket's stored checkpoint and
 // rebuilding the EDB fragment locally — and is then replayed the bucket's
-// logged suffix. Credit stranded in w's queue is refunded to the senders
-// so nobody blocks on a dead worker's unprocessed batches. Caller holds
-// the mutex.
+// logged suffix. Caller holds the mutex.
 func (r *router) declareDead(w *wkState, reason string) {
 	w.alive = false
 	r.deaths = append(r.deaths, w.index)
 	w.conn.Close()
 	w.out.close()
-	for _, qm := range w.out.remaining() {
-		if qm.m.Kind == kindData {
-			r.queueBytes -= qm.cost
-			r.grantLocked(qm)
-		}
-	}
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.WorkerDead(r.cfg.procID(w.index), reason)
 	}
@@ -1142,16 +1032,12 @@ func (r *router) adoptAndReplayLocked(b int, s *wkState) int {
 	if r.cfg.LocalCheckpoints && bs.snap != nil {
 		adopt.Snap, adopt.Sum, adopt.Probe = nil, bs.sum, bs.probe
 	}
-	s.out.push(control(adopt))
-	for _, le := range bs.log {
-		r.queueBytes += le.cost
-		if r.queueBytes > r.peakQueue {
-			r.peakQueue = r.queueBytes
+	s.out.push(adopt)
+	for _, m := range bs.log {
+		if m.Span != 0 {
+			obs.SpanReplay(r.cfg.Sink, b, r.cfg.procID(s.index), m.Span)
 		}
-		if le.m.Span != 0 {
-			obs.SpanReplay(r.cfg.Sink, b, r.cfg.procID(s.index), le.m.Span)
-		}
-		s.out.push(qmsg{m: le.m, cost: le.cost, sender: -1})
+		s.out.push(m)
 	}
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.ReplayEnd(b, r.cfg.procID(s.index), len(bs.log))
@@ -1312,7 +1198,7 @@ func (r *router) checkRebalance(now time.Time) {
 	bs := &r.buckets[hot]
 	bs.owner = to
 	bs.pending = 0 // the old owner's checkpoint reply would be stale
-	r.ws[from].out.push(control(wireMsg{Kind: kindRelease, Bucket: hot}))
+	r.ws[from].out.push(wireMsg{Kind: kindRelease, Bucket: hot})
 	if r.cfg.Sink != nil {
 		r.cfg.Sink.BucketReassigned(hot, r.cfg.procID(from), r.cfg.procID(to))
 	}
@@ -1351,7 +1237,7 @@ func (r *router) advance() bool {
 	r.moved = 0
 	for _, w := range r.ws {
 		if w.alive {
-			w.out.push(control(wireMsg{Kind: kindStep, Step: r.step}))
+			w.out.push(wireMsg{Kind: kindStep, Step: r.step})
 		}
 	}
 	return true
@@ -1364,7 +1250,7 @@ func (r *router) finish() []int {
 	var live []int
 	for _, w := range r.ws {
 		if w.alive {
-			w.out.push(control(wireMsg{Kind: kindFinish}))
+			w.out.push(wireMsg{Kind: kindFinish})
 			live = append(live, w.index)
 		}
 	}
@@ -1447,23 +1333,18 @@ func (c *Coordinator) Wait() (*Result, error) {
 	stopWatch := context.AfterFunc(ctx, r.closeAll)
 	defer stopWatch()
 
-	// Per-worker reader and writer goroutines. The writer settles every
-	// data batch it pops — successfully encoded or stranded by a broken
-	// connection — so the queue ledger shrinks and the sender's credit
-	// returns exactly once per batch.
+	// Per-worker reader and writer goroutines.
 	for _, w := range ws {
 		w := w
 		go c.readLoop(r, w)
 		go func() {
 			enc := gob.NewEncoder(w.conn)
 			for {
-				qm, ok := w.out.pop()
+				m, ok := w.out.pop()
 				if !ok {
 					return
 				}
-				err := enc.Encode(qm.m)
-				r.settle(qm)
-				if err != nil {
+				if err := enc.Encode(m); err != nil {
 					r.connBroken(w, err)
 					return
 				}
@@ -1471,32 +1352,18 @@ func (c *Coordinator) Wait() (*Result, error) {
 		}()
 	}
 
-	// Start phase: step 0's message carries each worker's initial send
-	// credit (the byte budget split evenly across workers).
-	creditBytes := int64(0)
-	if c.cfg.MaxQueueBytes > 0 {
-		creditBytes = c.cfg.MaxQueueBytes / int64(len(ws))
-		if creditBytes < 1 {
-			creditBytes = 1
-		}
-	}
-	// Extra buckets (Buckets > Workers): each worker natively builds only
+	// Start phase. Extra buckets (Buckets > Workers): each worker natively builds only
 	// the node of its own index, so every wrapped-around bucket is adopted
 	// fresh (nil snapshot). The adopts precede step 0's message, so each
 	// is initialized in step 0's turn as its own node would be.
 	r.mu.Lock()
 	for b := len(ws); b < len(r.buckets); b++ {
-		r.ws[r.buckets[b].owner].out.push(control(wireMsg{Kind: kindAdopt, Bucket: b}))
+		r.ws[r.buckets[b].owner].out.push(wireMsg{Kind: kindAdopt, Bucket: b})
 	}
 	for _, w := range ws {
 		w.lastHeard = time.Now() // the liveness clock starts now
 		w.done = -1
-		w.out.push(control(wireMsg{
-			Kind:        kindStep,
-			Credits:     c.cfg.MaxInflightBatches,
-			CreditBytes: creditBytes,
-			Profile:     c.cfg.Profile,
-		}))
+		w.out.push(wireMsg{Kind: kindStep, Profile: c.cfg.Profile})
 	}
 	r.mu.Unlock()
 
@@ -1581,7 +1448,6 @@ func (c *Coordinator) Wait() (*Result, error) {
 	res.Recoveries = append(res.Recoveries, r.recoveries...)
 	res.Checkpoints = r.ckpts
 	res.TruncatedBatches = r.truncated
-	res.PeakQueueBytes = r.peakQueue
 	res.DroppedBatches = r.dropped
 	res.Migrations = append(res.Migrations, r.migrations...)
 	res.RebalanceRejected = r.rebalRejected

@@ -45,10 +45,6 @@ type Schedule struct {
 	Delay time.Duration
 	// Jitter adds a seeded-uniform extra delay in [0, Jitter) per write.
 	Jitter time.Duration
-	// ReadDelay is added to every Read on every wrapped connection —
-	// a slow consumer, the stimulus that backs up the coordinator's
-	// outbound queues and exercises credit-based flow control.
-	ReadDelay time.Duration
 }
 
 // Injector applies a Schedule to the connections it wraps. Safe for
@@ -179,9 +175,6 @@ func (c *conn) Write(p []byte) (int, error) {
 }
 
 func (c *conn) Read(p []byte) (int, error) {
-	if d := c.in.sched.ReadDelay; d > 0 {
-		time.Sleep(d)
-	}
 	c.mu.Lock()
 	killed := c.killed
 	c.mu.Unlock()

@@ -156,109 +156,6 @@ func (f *failure) fail(err error) {
 	})
 }
 
-// creditGate is the sender side of the coordinator's flow control: the
-// step 0 message deposits the worker's initial credit (batches and/or
-// bytes), every data send debits it before reaching the wire, and every
-// kindCredit grant replenishes it. acquire blocks the eval loop — never
-// the reader, so heartbeats and grants keep flowing — until the debit
-// fits. An unconfigured gate (no limits) admits everything immediately.
-type creditGate struct {
-	mu       sync.Mutex
-	notify   chan struct{}
-	limBatch bool
-	limBytes bool
-	batches  int
-	bytes    int64
-	chunk    int64 // initial byte credit: the outgoing batch split size
-	inflight int   // batches debited and not yet granted back
-}
-
-func newCreditGate() *creditGate { return &creditGate{notify: make(chan struct{}, 1)} }
-
-func (g *creditGate) signal() {
-	select {
-	case g.notify <- struct{}{}:
-	default:
-	}
-}
-
-// configure installs the initial credit from the step 0 message. Called by
-// the reader before the eval loop starts (the started-channel close is the
-// happens-before edge).
-func (g *creditGate) configure(batches int, bytes int64) {
-	g.mu.Lock()
-	g.limBatch = batches > 0
-	g.batches = batches
-	g.limBytes = bytes > 0
-	g.bytes = bytes
-	g.chunk = bytes
-	g.mu.Unlock()
-}
-
-// chunkLimit returns the byte size outgoing batches must be split to (the
-// worker's whole byte credit), or 0 when byte credit is unlimited. Keeping
-// every batch within the credit is what makes the coordinator's residency
-// bound strict: a batch never needs to overdraw.
-func (g *creditGate) chunkLimit() int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.limBytes {
-		return 0
-	}
-	return g.chunk
-}
-
-// acquire debits one batch of the given cost, blocking until the credit
-// covers it. A batch larger than the whole byte budget is admitted once
-// nothing else is in flight, so an oversized batch degrades to
-// stop-and-wait instead of deadlocking. Returns false if the connection
-// failed or the context was canceled while waiting (the caller's send then
-// goes nowhere anyway). stall reports whether the call had to wait.
-func (g *creditGate) acquire(cost int64, f *failure, ctx context.Context) (ok, stalled bool) {
-	for {
-		g.mu.Lock()
-		fits := true
-		if g.limBatch && g.batches < 1 {
-			fits = false
-		}
-		if g.limBytes && g.bytes < cost && g.inflight > 0 {
-			fits = false
-		}
-		if fits {
-			if g.limBatch {
-				g.batches--
-			}
-			if g.limBytes {
-				g.bytes -= cost
-			}
-			g.inflight++
-			g.mu.Unlock()
-			return true, stalled
-		}
-		g.mu.Unlock()
-		stalled = true
-		select {
-		case <-g.notify:
-		case <-f.ch:
-			return false, stalled
-		case <-ctx.Done():
-			return false, stalled
-		}
-	}
-}
-
-// release credits back one grant and wakes the eval loop if it is waiting.
-func (g *creditGate) release(batches int, bytes int64) {
-	g.mu.Lock()
-	g.batches += batches
-	g.bytes += bytes
-	if g.inflight > 0 {
-		g.inflight--
-	}
-	g.mu.Unlock()
-	g.signal()
-}
-
 // dialRetry dials with exponential backoff and jitter, honoring ctx between
 // attempts. The jitter is seeded per call — connect storms after a
 // coordinator restart spread out instead of synchronizing.
@@ -299,13 +196,13 @@ func dialRetry(ctx context.Context, dial DialFunc, addr string, retries int, bas
 // coordinator log every batch for replay. If the coordinator reassigns a
 // dead peer's bucket here, the worker builds a second node via
 // cfg.NewNode, installs the bucket's checkpoint and hosts both; outputs
-// and stats are then reported per bucket. Data sends honor the
-// coordinator's credit grants; control traffic (heartbeat and checkpoint
-// replies, stepDone, the final output) bypasses the credit so liveness
-// never queues behind flow control. Blocking; returns after the
-// coordinator has collected this worker's output, or with an error if the
-// connection breaks mid-run (the coordinator then recovers this worker's
-// buckets elsewhere).
+// and stats are then reported per bucket. The reader answers heartbeats
+// as they arrive, even mid-turn; every other message waits in a mailbox
+// until the next step message, so the data in flight is one superstep's
+// output and the barrier is its only throttle. Blocking; returns after
+// the coordinator has collected this worker's output, or with an error if
+// the connection breaks mid-run (the coordinator then recovers this
+// worker's buckets elsewhere).
 func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 	cfg.fill()
 	ctx := cfg.Ctx
@@ -327,7 +224,6 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		f          = newFailure()
 		wq         = newQueue() // outbound wire messages, serialized by the writer
 		mbox       = newQueue() // inbound messages the turns take, in arrival order
-		gate       = newCreditGate()
 		writerDone = make(chan struct{})
 	)
 	// broken fails the worker and wakes a turn waiting on the mailbox.
@@ -345,18 +241,17 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			if !ok {
 				return
 			}
-			if err := enc.Encode(m.m); err != nil {
+			if err := enc.Encode(m); err != nil {
 				broken(err)
 				return
 			}
 		}
 	}()
-	wq.push(control(wireMsg{Kind: kindJoin, Index: node.Index()}))
+	wq.push(wireMsg{Kind: kindJoin, Index: node.Index()})
 
-	// Reader: decodes the coordinator's stream. Heartbeats are answered and
-	// credit grants applied here, so both keep flowing while a turn is deep
-	// in a long drain or blocked on credit. Everything else waits in the
-	// mailbox for the next turn.
+	// Reader: decodes the coordinator's stream. Heartbeats are answered
+	// here, so they keep flowing while a turn is deep in a long drain.
+	// Everything else waits in the mailbox for the next turn.
 	go func() {
 		dec := gob.NewDecoder(conn)
 		for {
@@ -367,16 +262,9 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			}
 			switch m.Kind {
 			case kindPing:
-				wq.push(control(wireMsg{Kind: kindPong}))
-			case kindCredit:
-				gate.release(m.Credits, m.CreditBytes)
-			case kindStep:
-				if m.Step == 0 {
-					gate.configure(m.Credits, m.CreditBytes)
-				}
-				mbox.push(control(m))
-			case kindData, kindAdopt, kindRelease, kindCheckpointReq, kindFinish:
-				mbox.push(control(m))
+				wq.push(wireMsg{Kind: kindPong})
+			case kindStep, kindData, kindAdopt, kindRelease, kindCheckpointReq, kindFinish:
+				mbox.push(m)
 			default:
 				broken(fmt.Errorf("unexpected message kind %d", m.Kind))
 				return
@@ -392,7 +280,7 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 	// next takes the mailbox's next message, or the error that ended the
 	// connection.
 	next := func() (wireMsg, error) {
-		qm, ok := mbox.pop()
+		m, ok := mbox.pop()
 		select {
 		case <-f.ch:
 			ok = false
@@ -404,7 +292,7 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			}
 			return wireMsg{}, f.err
 		}
-		return qm.m, nil
+		return m, nil
 	}
 
 	// Eval loop (this goroutine). nodes maps hosted buckets to their state
@@ -418,59 +306,15 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 	var spanSeq uint64
 	var curParent uint64
 	mkEmit := func(n *parallel.Node) parallel.EmitFunc {
-		sendOne := func(n *parallel.Node, dest int, pred string, tuples int, raw []byte) {
-			cost := dataCost(raw)
-			ok, stalled := gate.acquire(cost, f, ctx)
-			if stalled {
-				if sink := n.Sink(); sink != nil {
-					sink.CreditStall(n.Proc(), cost)
-				}
-			}
-			if !ok {
-				return // connection failed or canceled: the send would be lost anyway
-			}
+		return func(dest int, pred string, b relation.Batch) {
+			n.RecordSent(dest, b.N)
 			spanSeq++
 			span := wire.SpanID(n.Index(), spanSeq)
 			if sink := n.Sink(); sink != nil {
-				obs.SpanSend(sink, n.Proc(), n.PeerProc(dest), pred, tuples, span, curParent)
-			}
-			wq.push(qmsg{m: wireMsg{Kind: kindData, Bucket: dest, From: n.Index(), Pred: pred, Raw: raw, Span: span, Parent: curParent}})
-		}
-		return func(dest int, pred string, b relation.Batch) {
-			n.RecordSent(dest, b.N)
-			if sink := n.Sink(); sink != nil {
 				sink.MessageSent(n.Proc(), n.PeerProc(dest), pred, b.N)
+				obs.SpanSend(sink, n.Proc(), n.PeerProc(dest), pred, b.N, span, curParent)
 			}
-			if b.N == 0 {
-				sendOne(n, dest, pred, 0, wire.AppendFlat(nil, b))
-				return
-			}
-			// Split the logical batch so no wire batch overdraws the byte
-			// credit: the chunk's tuple count is sized so even the
-			// worst-case encoding fits the whole credit, so the gate never
-			// has to admit an oversized batch and the coordinator's
-			// residency bound stays strict. At least one tuple goes per
-			// chunk regardless, so progress never stalls on a degenerate
-			// credit.
-			maxCount := b.N
-			if limit := gate.chunkLimit(); limit > 0 {
-				per := int64(b.Arity * wire.MaxValueBytes)
-				if per < 1 {
-					per = 1
-				}
-				mc := (limit - 96 - wire.MaxBatchHeaderBytes) / per
-				if mc < 1 {
-					mc = 1
-				}
-				if mc < int64(maxCount) {
-					maxCount = int(mc)
-				}
-			}
-			for start := 0; start < b.N; start += maxCount {
-				end := min(start+maxCount, b.N)
-				chunk := relation.Batch{Arity: b.Arity, N: end - start, Vals: b.Vals[start*b.Arity : end*b.Arity]}
-				sendOne(n, dest, pred, chunk.N, wire.AppendFlat(nil, chunk))
-			}
+			wq.push(wireMsg{Kind: kindData, Bucket: dest, From: n.Index(), Pred: pred, Raw: wire.AppendFlat(nil, b), Span: span, Parent: curParent})
 		}
 	}
 
@@ -601,9 +445,7 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			}
 		}
 		// Checkpoint replies are taken after the turns, so a snapshot
-		// covers every batch logged before its request, and bypass the
-		// data credit (they shrink coordinator memory, so throttling them
-		// would invert the backpressure).
+		// covers every batch logged before its request.
 		for _, req := range ckptReqs {
 			n := nodes[req.Bucket]
 			if n == nil {
@@ -620,10 +462,10 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 					continue
 				}
 			}
-			wq.push(control(wireMsg{
+			wq.push(wireMsg{
 				Kind: kindCheckpointReply, Bucket: req.Bucket, Probe: req.Probe,
 				Snap: snap, Sum: wire.Checksum(snap),
-			}))
+			})
 		}
 		if sink != nil {
 			sink.WorkerIdle(node.Proc())
@@ -646,7 +488,7 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 		if err := turn(m, msgs); err != nil {
 			return fin(err)
 		}
-		wq.push(control(wireMsg{Kind: kindStepDone, Step: m.Step, Busy: int64(busy)}))
+		wq.push(wireMsg{Kind: kindStepDone, Step: m.Step, Busy: int64(busy)})
 	}
 
 	// Each node ships its home sets, or else only the tuples it generated:
@@ -660,6 +502,6 @@ func RunWorker(coordAddr string, node *parallel.Node, cfg WorkerConfig) error {
 			out.Out = append(out.Out, outBatch{Bucket: b, Pred: pred, Home: home, Raw: wire.AppendFlat(nil, fb)})
 		})
 	}
-	wq.push(control(out))
+	wq.push(out)
 	return fin(nil)
 }

@@ -36,7 +36,6 @@ type Counting struct {
 	checkpoints    atomic.Int64
 	ckptRejected   atomic.Int64
 	truncatedMsgs  atomic.Int64
-	creditStalls   atomic.Int64
 	memoryPressure atomic.Int64
 	droppedBatches atomic.Int64
 
@@ -267,8 +266,6 @@ func (c *Counting) LogTruncated(bucket, batches int) {
 	c.truncatedMsgs.Add(int64(batches))
 }
 
-func (c *Counting) CreditStall(proc int, bytes int64) { c.creditStalls.Add(1) }
-
 func (c *Counting) MemoryPressure(used, budget int64) { c.memoryPressure.Add(1) }
 
 func (c *Counting) BatchDropped(fromProc, bucket, tuples int) { c.droppedBatches.Add(1) }
@@ -370,8 +367,6 @@ type Metrics struct {
 	// TruncatedBatches counts logged batches dropped after a checkpoint
 	// covered them.
 	TruncatedBatches int64 `json:"truncated_batches,omitempty"`
-	// CreditStalls counts sends that blocked on the credit gate.
-	CreditStalls int64 `json:"credit_stalls,omitempty"`
 	// MemoryPressureEvents counts budget overruns that forced an early
 	// checkpoint cycle.
 	MemoryPressureEvents int64 `json:"memory_pressure_events,omitempty"`
@@ -473,7 +468,6 @@ func (c *Counting) Snapshot() *Metrics {
 		Checkpoints:          c.checkpoints.Load(),
 		CheckpointsRejected:  c.ckptRejected.Load(),
 		TruncatedBatches:     c.truncatedMsgs.Load(),
-		CreditStalls:         c.creditStalls.Load(),
 		MemoryPressureEvents: c.memoryPressure.Load(),
 		DroppedBatches:       c.droppedBatches.Load(),
 		NetworkViolations:    c.violations.Load(),

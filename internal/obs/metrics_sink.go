@@ -63,7 +63,6 @@ type MetricsSink struct {
 	ckptOK          *metrics.Counter
 	ckptRejected    *metrics.Counter
 	truncated       *metrics.Counter
-	creditStalls    *metrics.Counter
 	memPressure     *metrics.Counter
 	dropped         *metrics.Counter
 	violations      *metrics.Counter
@@ -157,7 +156,6 @@ func NewMetricsSink(reg *metrics.Registry) *MetricsSink {
 		ckptOK:          reg.Counter("parlog_checkpoints_total", "bucket checkpoint replies", metrics.L("ok", "true")),
 		ckptRejected:    reg.Counter("parlog_checkpoints_total", "bucket checkpoint replies", metrics.L("ok", "false")),
 		truncated:       reg.Counter("parlog_truncated_batches_total", "logged batches dropped after a checkpoint covered them"),
-		creditStalls:    reg.Counter("parlog_credit_stalls_total", "sends that blocked on the credit gate"),
 		memPressure:     reg.Counter("parlog_memory_pressure_total", "coordinator memory-budget overruns"),
 		dropped:         reg.Counter("parlog_dropped_batches_total", "data batches addressed to out-of-range buckets"),
 		violations:      reg.Counter("parlog_network_violations_total", "channels used despite the minimal network graph predicting them idle"),
@@ -365,8 +363,6 @@ func (m *MetricsSink) CheckpointEnd(bucket, proc, tuples int, ok bool) {
 }
 
 func (m *MetricsSink) LogTruncated(bucket, batches int) { m.truncated.Add(int64(batches)) }
-
-func (m *MetricsSink) CreditStall(proc int, bytes int64) { m.creditStalls.Inc() }
 
 func (m *MetricsSink) MemoryPressure(used, budget int64) { m.memPressure.Inc() }
 

@@ -78,13 +78,9 @@ type EventSink interface {
 	// LogTruncated reports batches logged batches of bucket bucket being
 	// dropped because an accepted checkpoint now covers them.
 	LogTruncated(bucket, batches int)
-	// CreditStall reports processor proc blocking on the credit gate
-	// while trying to send a data batch of the given estimated size —
-	// the backpressure signal of the bounded-memory transport.
-	CreditStall(proc int, bytes int64)
 	// MemoryPressure reports the coordinator's tracked memory (send
-	// logs + stored checkpoints + queued batches) exceeding its budget;
-	// the runtime responds by forcing an early checkpoint cycle.
+	// logs + stored checkpoints) exceeding its budget; the runtime
+	// responds by forcing an early checkpoint cycle.
 	MemoryPressure(used, budget int64)
 	// BatchDropped reports a data batch addressed to an out-of-range
 	// bucket being discarded by the router instead of delivered.
@@ -414,12 +410,6 @@ func (f *fanout) CheckpointEnd(bucket, proc, tuples int, ok bool) {
 func (f *fanout) LogTruncated(bucket, batches int) {
 	for _, s := range f.sinks {
 		s.LogTruncated(bucket, batches)
-	}
-}
-
-func (f *fanout) CreditStall(proc int, bytes int64) {
-	for _, s := range f.sinks {
-		s.CreditStall(proc, bytes)
 	}
 }
 

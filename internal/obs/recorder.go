@@ -63,7 +63,6 @@ const (
 	KindCheckpointStart = "checkpoint_start"
 	KindCheckpointEnd   = "checkpoint_end"
 	KindLogTruncated    = "log_truncated"
-	KindCreditStall     = "credit_stall"
 	KindMemoryPressure  = "memory_pressure"
 	KindBatchDropped    = "batch_dropped"
 
@@ -120,8 +119,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("checkpoint_end bucket=%d proc=%d tuples=%d ok=%v", e.Bucket, e.Proc, e.N, e.OK)
 	case KindLogTruncated:
 		return fmt.Sprintf("log_truncated bucket=%d n=%d", e.Bucket, e.N)
-	case KindCreditStall:
-		return fmt.Sprintf("credit_stall proc=%d bytes=%d", e.Proc, e.N)
 	case KindMemoryPressure:
 		return fmt.Sprintf("memory_pressure used=%d budget=%d", e.N, e.Budget)
 	case KindBatchDropped:
@@ -230,10 +227,6 @@ func (r *Recorder) CheckpointEnd(bucket, proc, tuples int, ok bool) {
 
 func (r *Recorder) LogTruncated(bucket, batches int) {
 	r.add(Event{Kind: KindLogTruncated, Bucket: bucket, N: int64(batches)})
-}
-
-func (r *Recorder) CreditStall(proc int, bytes int64) {
-	r.add(Event{Kind: KindCreditStall, Proc: proc, N: bytes})
 }
 
 func (r *Recorder) MemoryPressure(used, budget int64) {

@@ -491,6 +491,21 @@ func BuildGeneral(prog *ast.Program, gspec rewrite.GeneralSpec) (*Program, error
 	var specs []ruleSpec
 	var routers []Router
 	seenRouter := map[string]bool{}
+	// funcs numbers the distinct discriminating functions: two rules share
+	// a router only under the same function, not merely one of the same
+	// name (two BalancedTables are both "hbal"). DeepEqual also matches
+	// equal values of non-comparable types; a value holding a func (a
+	// Linear's G) matches no other, which costs a router, never a tuple.
+	var funcs []hashpart.Func
+	funcID := func(h hashpart.Func) int {
+		for i, g := range funcs {
+			if reflect.DeepEqual(g, h) {
+				return i
+			}
+		}
+		funcs = append(funcs, h)
+		return len(funcs) - 1
+	}
 	for ri, r := range rules {
 		rs := gspec.Rules[ri]
 		if err := hashpart.ValidateSequence(r, rs.Seq); err != nil {
@@ -510,7 +525,7 @@ func BuildGeneral(prog *ast.Program, gspec rewrite.GeneralSpec) (*Program, error
 			} else {
 				router.Broadcast = true
 			}
-			key := fmt.Sprintf("%s|%s|%v|%s|%v", a.Pred, a.String(), rs.Seq, h.Name(), router.Broadcast)
+			key := fmt.Sprintf("%s|%s|%v|%d|%v", a.Pred, a.String(), rs.Seq, funcID(h), router.Broadcast)
 			if seenRouter[key] {
 				continue
 			}

@@ -4,9 +4,8 @@
 // varints — typically one or two bytes per value against gob's per-message
 // type dictionary and per-slice headers. The coordinator never needs to
 // look inside a payload except to count tuples, so it stores and replays
-// checkpoints as the same opaque byte blobs it verified, and both ends
-// charge the credit ledgers from the one number they already agree on:
-// the encoded length.
+// checkpoints as the same opaque byte blobs it verified, and charges its
+// memory budget the encoded length.
 //
 // Formats (all integers unsigned LEB128 varints):
 //
@@ -23,14 +22,6 @@ import (
 
 	"parlog/internal/ast"
 	"parlog/internal/relation"
-)
-
-// Per-value and per-batch worst-case sizes, for callers that must bound a
-// batch's encoded length before encoding it (credit-safe chunking): a
-// uint32 varint is at most 5 bytes, and the batch header is two varints.
-const (
-	MaxValueBytes       = 5
-	MaxBatchHeaderBytes = 10
 )
 
 // maxNullaryBatch caps the count of a batch of zero-arity tuples.

@@ -218,23 +218,6 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestWorstCaseBoundHolds(t *testing.T) {
-	// The chunking bound the worker relies on: an encoded batch never
-	// exceeds MaxBatchHeaderBytes + count·arity·MaxValueBytes.
-	for _, tc := range []struct{ count, arity int }{{1, 1}, {50, 2}, {9, 6}} {
-		rows := mkRows(7, tc.count, tc.arity)
-		for i := range rows {
-			for j := range rows[i] {
-				rows[i][j] = ast.Value(-1) // worst case: encodes as max uint32
-			}
-		}
-		raw := AppendBatch(nil, rows)
-		if max := MaxBatchHeaderBytes + tc.count*tc.arity*MaxValueBytes; len(raw) > max {
-			t.Fatalf("%d×%d: encoded %d bytes, bound %d", tc.count, tc.arity, len(raw), max)
-		}
-	}
-}
-
 // TestSmallerThanGob pins the point of the codec: a typical data batch is
 // several times smaller than the gob encoding of the equivalent payload.
 func TestSmallerThanGob(t *testing.T) {

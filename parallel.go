@@ -338,17 +338,14 @@ func evalDistributed(ctx context.Context, p *Program, edb Store, opts EvalOption
 			MaxMigrations: opts.Rebalance.MaxMigrations,
 			MinVolume:     opts.Rebalance.MinVolume,
 		},
-		HeartbeatInterval:  opts.HeartbeatInterval,
-		WorkerDeadline:     opts.WorkerDeadline,
-		MaxRetries:         opts.MaxRetries,
-		CheckpointEvery:    opts.CheckpointEvery,
-		CheckpointInterval: opts.CheckpointInterval,
-		MaxInflightBatches: opts.MaxInflightBatches,
-		MaxQueueBytes:      opts.MaxQueueBytes,
-		MaxMemoryBytes:     opts.MaxMemoryBytes,
-		Ctx:                ctx,
-		Sink:               sink,
-		Profile:            opts.Profile,
+		HeartbeatInterval: opts.HeartbeatInterval,
+		WorkerDeadline:    opts.WorkerDeadline,
+		MaxRetries:        opts.MaxRetries,
+		CheckpointEvery:   opts.CheckpointEvery,
+		MaxMemoryBytes:    opts.MaxMemoryBytes,
+		Ctx:               ctx,
+		Sink:              sink,
+		Profile:           opts.Profile,
 	})
 	if err != nil {
 		return nil, err

@@ -275,23 +275,12 @@ type EvalOptions struct {
 	// CheckpointEvery checkpoints a hash bucket after that many data
 	// batches have been logged for it since its last checkpoint, letting
 	// the coordinator truncate the covered send-log prefix; recovery then
-	// replays only the suffix. 0 disables the count trigger.
-	// EngineDistributed only.
+	// replays only the suffix. The check runs at superstep barriers, so
+	// a run without faults takes the same checkpoints every time. 0
+	// disables checkpoints. EngineDistributed only.
 	CheckpointEvery int
-	// CheckpointInterval checkpoints every bucket with a non-empty send
-	// log at this period; 0 disables the timer trigger.
-	// EngineDistributed only.
-	CheckpointInterval time.Duration
-	// MaxInflightBatches bounds the data batches each distributed worker
-	// may have unacknowledged at the coordinator (credit-based
-	// backpressure); 0 means unlimited. EngineDistributed only.
-	MaxInflightBatches int
-	// MaxQueueBytes bounds the estimated data bytes resident in the
-	// coordinator's outbound queues, split into per-worker byte credits;
-	// 0 means unlimited. EngineDistributed only.
-	MaxQueueBytes int64
-	// MaxMemoryBytes is a shared coordinator budget across send logs,
-	// checkpoints and queues. Overrunning it forces an early
+	// MaxMemoryBytes is a coordinator budget over send logs and stored
+	// checkpoints. Overrunning it forces an early
 	// checkpoint+truncate cycle; if the budget is still exceeded after
 	// that, the run fails with an error wrapping ErrResourceExhausted.
 	// 0 means unlimited. EngineDistributed only.

@@ -44,7 +44,7 @@ func (o EvalOptions) Validate() error {
 	}
 
 	if o.Engine != EngineDistributed {
-		// The fault-tolerance and flow-control knobs configure the TCP
+		// The fault-tolerance and memory knobs configure the TCP
 		// coordinator; setting them on another engine means the caller
 		// expects behavior they will not get.
 		distOnly := []struct {
@@ -55,9 +55,6 @@ func (o EvalOptions) Validate() error {
 			{"HeartbeatInterval", o.HeartbeatInterval != 0},
 			{"WorkerDeadline", o.WorkerDeadline != 0},
 			{"CheckpointEvery", o.CheckpointEvery != 0},
-			{"CheckpointInterval", o.CheckpointInterval != 0},
-			{"MaxInflightBatches", o.MaxInflightBatches != 0},
-			{"MaxQueueBytes", o.MaxQueueBytes != 0},
 			{"MaxMemoryBytes", o.MaxMemoryBytes != 0},
 		}
 		for _, k := range distOnly {
@@ -69,19 +66,11 @@ func (o EvalOptions) Validate() error {
 		if o.MaxRetries < 0 {
 			return badOptions("MaxRetries must be non-negative, got %d", o.MaxRetries)
 		}
-		if o.HeartbeatInterval < 0 || o.WorkerDeadline < 0 ||
-			o.CheckpointInterval < 0 {
+		if o.HeartbeatInterval < 0 || o.WorkerDeadline < 0 {
 			return badOptions("distributed intervals must be non-negative")
 		}
-		if o.CheckpointEvery < 0 || o.MaxInflightBatches < 0 ||
-			o.MaxQueueBytes < 0 || o.MaxMemoryBytes < 0 {
+		if o.CheckpointEvery < 0 || o.MaxMemoryBytes < 0 {
 			return badOptions("distributed limits must be non-negative")
-		}
-		if o.MaxQueueBytes > 0 && o.Workers > 0 && o.MaxQueueBytes < int64(o.Workers) {
-			return badOptions("MaxQueueBytes %d splits to zero byte credits across %d workers", o.MaxQueueBytes, o.Workers)
-		}
-		if o.MaxMemoryBytes > 0 && o.MaxQueueBytes > o.MaxMemoryBytes {
-			return badOptions("MaxQueueBytes %d exceeds the MaxMemoryBytes budget %d it is part of", o.MaxQueueBytes, o.MaxMemoryBytes)
 		}
 	}
 

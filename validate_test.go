@@ -20,7 +20,7 @@ func TestValidate(t *testing.T) {
 			Engine: EngineDistributed, Workers: 2,
 			MaxRetries: 3, HeartbeatInterval: 10 * time.Millisecond,
 			WorkerDeadline: time.Second, CheckpointEvery: 2,
-			MaxInflightBatches: 4, MaxQueueBytes: 1 << 20, MaxMemoryBytes: 1 << 24,
+			MaxMemoryBytes: 1 << 24,
 		}},
 		{"metrics server", EvalOptions{
 			MetricsAddr: "127.0.0.1:0", Pprof: true,
@@ -46,11 +46,10 @@ func TestValidate(t *testing.T) {
 		{"locality out of range", EvalOptions{Engine: EngineParallel, Locality: 1.5}},
 		{"retries on sequential", EvalOptions{MaxRetries: 3}},
 		{"heartbeat on parallel", EvalOptions{Engine: EngineParallel, HeartbeatInterval: time.Second}},
-		{"queue bytes on parallel", EvalOptions{Engine: EngineParallel, MaxQueueBytes: 1024}},
+		{"memory budget on parallel", EvalOptions{Engine: EngineParallel, MaxMemoryBytes: 1024}},
 		{"negative retries", EvalOptions{Engine: EngineDistributed, MaxRetries: -1}},
 		{"negative deadline", EvalOptions{Engine: EngineDistributed, WorkerDeadline: -time.Second}},
-		{"queue below workers", EvalOptions{Engine: EngineDistributed, Workers: 8, MaxQueueBytes: 4}},
-		{"queue above memory", EvalOptions{Engine: EngineDistributed, MaxQueueBytes: 2048, MaxMemoryBytes: 1024}},
+		{"negative memory budget", EvalOptions{Engine: EngineDistributed, MaxMemoryBytes: -1}},
 		{"pprof without addr", EvalOptions{Pprof: true}},
 		{"hold without addr", EvalOptions{MetricsHold: time.Second}},
 		{"ready without addr", EvalOptions{TelemetryReady: func(string) {}}},
