@@ -3,6 +3,7 @@ package parlog
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"parlog/internal/relation"
@@ -221,5 +222,48 @@ func TestColdOpenAllocs(t *testing.T) {
 	t.Logf("cold open: %.0f allocs/op", a)
 	if b := allocBound(848); a > b { // measured: 848
 		t.Errorf("cold Open: %.0f allocs/op, bound %.1f", a, b)
+	}
+}
+
+// TestSnapshotAllocs guards a fresh View.Snapshot at the serving
+// benchmark's tree depth 7 and one level either side: it pins every
+// relation, so it allocates the liveness bitmaps, one bit per physical row,
+// plus a constant, and never a copy of the model. Each snapshot follows an
+// Apply that deletes or re-inserts a leaf, so the arena holds dead rows.
+func TestSnapshotAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const fixed = 2048 // bytes: the store map, the relation headers, size-class rounding
+	for _, depth := range []int{6, 7, 8} {
+		p, edb, ins, del := treeCase(t, allocAncestor, 3, depth, 8)
+		v, err := Open(context.Background(), p, edb, EvalOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := uint64(0)
+		rows := 0
+		for i := range ins {
+			for _, d := range []Delta{ins[i], del[i]} {
+				if _, err := v.Apply(d); err != nil {
+					t.Fatal(err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				snap, err := v.Snapshot()
+				runtime.ReadMemStats(&after)
+				if err != nil {
+					t.Fatal(err)
+				}
+				worst = max(worst, after.TotalAlloc-before.TotalAlloc)
+				rows = 0
+				for _, rel := range snap.Store() {
+					rows += rel.NumRows()
+				}
+			}
+		}
+		v.Close()
+		t.Logf("depth %d: %d rows, fresh Snapshot allocates at most %d bytes", depth, rows, worst)
+		if bound := uint64(rows/8 + fixed); worst > bound {
+			t.Errorf("depth %d: a fresh Snapshot allocates %d bytes, bound %d (rows/8 + %d)", depth, worst, bound, fixed)
+		}
 	}
 }

@@ -465,18 +465,6 @@ func (d *durability) close(edb Store) error {
 	return d.dir.Close()
 }
 
-// edbSnapshot extracts the base relations from a full model store — what
-// compaction persists (the IDB is recomputed from it on recovery).
-func edbSnapshot(full Store, isEDB func(string) bool) Store {
-	out := Store{}
-	for pred, rel := range full {
-		if isEDB(pred) {
-			out[pred] = rel
-		}
-	}
-	return out
-}
-
 // --- record payload codecs ------------------------------------------------
 
 func encodeEpoch(epoch uint64) []byte {

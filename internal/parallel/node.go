@@ -162,7 +162,23 @@ type nodeRouter struct {
 	// routers. dest[v] is 0 until home first routes v, then v's dense index
 	// plus one, or -1 when h names a processor outside the set. h is
 	// deterministic and fixed per processor, so the answer never changes.
+	// col is the column whose value indexes it, seqPos[0].
 	dest []int32
+	col  int
+}
+
+// cached reads t's answer from rt's table, as dest stores it: 0 when rt
+// keeps no table, t's value lies past it or has not been routed yet. It is
+// small enough to inline into the per-tuple paths, which call miss on 0.
+func (rt *nodeRouter) cached(t relation.Tuple) int32 {
+	if len(rt.dest) == 0 {
+		return 0
+	}
+	// A negative value converts to a uint past the table's end.
+	if v := uint(t[rt.col]); v < uint(len(rt.dest)) {
+		return rt.dest[v]
+	}
+	return 0
 }
 
 // compileRouter flattens rt for the processor procID; a one-column
@@ -198,7 +214,7 @@ func compileRouter(rt Router, procID, bound int) nodeRouter {
 		nr.h = rt.HFor(procID)
 		nr.mod, nr.isMod = nr.h.(hashpart.ModHash)
 		if len(nr.seqPos) == 1 {
-			nr.dest = make([]int32, bound)
+			nr.dest, nr.col = make([]int32, bound), nr.seqPos[0]
 		}
 	}
 	return nr
@@ -390,7 +406,11 @@ func (n *Node) Accept(from int, pred string, b relation.Batch) {
 	for i := 0; i < b.N; i++ {
 		t := b.Row(i)
 		if homed {
-			if wi, ok := n.home(s.one, t); !ok || wi != n.wi {
+			d := s.one.cached(t)
+			if d == 0 {
+				d = n.miss(s.one, t)
+			}
+			if int(d)-1 != n.wi {
 				n.stats.Unhomed++
 				continue
 			}
@@ -456,8 +476,12 @@ func (n *Node) emitTuple(si int, home bool, t relation.Tuple) bool {
 	self := home || s.selfOnly
 	if !self {
 		if s.one != nil {
-			switch wi, ok := n.home(s.one, t); {
-			case !ok:
+			d := s.one.cached(t)
+			if d == 0 {
+				d = n.miss(s.one, t)
+			}
+			switch wi := int(d) - 1; {
+			case d < 0:
 				s.homeless = true
 			case wi == n.wi:
 				self = true
@@ -492,26 +516,27 @@ func (n *Node) emitTuple(si int, home bool, t relation.Tuple) bool {
 // A one-column router reads a value below its bound from its table, and
 // hashes it only the first time.
 func (n *Node) home(rt *nodeRouter, t relation.Tuple) (int, bool) {
-	if len(rt.dest) == 0 {
-		return n.hash(rt, t)
+	d := rt.cached(t)
+	if d == 0 {
+		d = n.miss(rt, t)
 	}
-	// A negative value converts to a uint past the table's end.
-	v := uint(t[rt.seqPos[0]])
-	if v >= uint(len(rt.dest)) {
-		return n.hash(rt, t)
+	return int(d) - 1, d > 0
+}
+
+// miss answers for t what rt's table holds no answer for, in the table's
+// encoding, from rt's h, and records it in the table when t's value has a
+// slot there.
+func (n *Node) miss(rt *nodeRouter, t relation.Tuple) int32 {
+	d := int32(-1)
+	if wi, ok := n.hash(rt, t); ok {
+		d = int32(wi) + 1
 	}
-	switch d := rt.dest[v]; {
-	case d > 0:
-		return int(d) - 1, true
-	case d < 0:
-		return 0, false
+	if len(rt.dest) > 0 {
+		if v := uint(t[rt.col]); v < uint(len(rt.dest)) {
+			rt.dest[v] = d
+		}
 	}
-	wi, ok := n.hash(rt, t)
-	rt.dest[v] = -1
-	if ok {
-		rt.dest[v] = int32(wi) + 1
-	}
-	return wi, ok
+	return d
 }
 
 // hash computes home's answer from rt's h.

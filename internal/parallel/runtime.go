@@ -114,8 +114,10 @@ func PrepareEDB(p *Program, edb relation.Store) (relation.Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parallel: EDB %w", err)
 		}
-		for i := 0; i < r.Len(); i++ {
-			dst.Insert(r.Row(i))
+		for i := 0; i < r.NumRows(); i++ {
+			if r.Alive(i) {
+				dst.Insert(r.Row(i))
+			}
 		}
 	}
 	for pred, tuples := range p.facts {

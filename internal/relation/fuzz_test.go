@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"parlog/internal/ast"
@@ -46,7 +48,7 @@ func checkTable(t testing.TB, r *Relation) {
 			}
 			continue
 		}
-		if r.counts != nil && r.counts[row] == countSuperseded {
+		if r.counts != nil && r.counts[row] == countSuperseded || r.counts == nil && !r.Alive(row) {
 			continue
 		}
 		canonical++
@@ -144,6 +146,71 @@ func (m *relModel) check(op string) {
 	}
 }
 
+// pinned is a relation made by Pin and a copy of the oracle taken when it
+// was made, which it must go on answering as the source relation changes.
+type pinned struct {
+	r    *Relation
+	rows map[string]modelRow
+}
+
+// check compares the pin's Len, Rows, Contains over every tuple of the
+// domain, and the runs of an index on column 0, with the oracle's live
+// rows.
+func (p pinned) check(t *testing.T, arity, domain int) {
+	t.Helper()
+	live := map[string]int{}
+	for k, e := range p.rows {
+		if e.count > 0 {
+			live[k] = e.row
+		}
+	}
+	if p.r.Len() != len(live) {
+		t.Fatalf("pin: Len %d, oracle %d", p.r.Len(), len(live))
+	}
+	rows := p.r.Rows()
+	seen := map[string]bool{}
+	for _, tu := range rows {
+		if _, ok := live[tu.Key()]; !ok || seen[tu.Key()] {
+			t.Fatalf("pin: Rows holds %v, oracle live %v, seen %v", tu, ok, seen[tu.Key()])
+		}
+		seen[tu.Key()] = true
+	}
+	if len(rows) != len(live) {
+		t.Fatalf("pin: %d Rows, oracle %d", len(rows), len(live))
+	}
+	total := 1
+	for i := 0; i < arity; i++ {
+		total *= domain
+	}
+	for c := 0; c < total; c++ {
+		tu := make(Tuple, arity)
+		for i, v := 0, c; i < arity; i, v = i+1, v/domain {
+			tu[i] = ast.Value(v % domain)
+		}
+		_, want := live[tu.Key()]
+		if got := p.r.Contains(tu); got != want {
+			t.Fatalf("pin: Contains %v = %v, oracle %v", tu, got, want)
+		}
+	}
+	checkTable(t, p.r)
+	if arity == 0 {
+		return
+	}
+	ix := p.r.IndexOn(0)
+	for v := 0; v < domain; v++ {
+		var want []int32
+		for _, row := range live {
+			if p.r.Row(row)[0] == ast.Value(v) {
+				want = append(want, int32(row))
+			}
+		}
+		slices.Sort(want)
+		if got := ix.Probe([]ast.Value{ast.Value(v)}, 0, p.r.NumRows()); !slices.Equal(got, want) {
+			t.Fatalf("pin: probe of column 0 = %d gives rows %v, oracle %v", v, got, want)
+		}
+	}
+}
+
 // FuzzRelationOps decodes its input into a run of relation operations
 // over arity 0–3 and the values 0–4, so that tuples repeat and probes
 // share runs, and checks each result, and the dedup table's packing, with
@@ -151,7 +218,9 @@ func (m *relModel) check(op string) {
 // the relation starts ((byte 0 / 4) mod 3): empty, or table-less, holding
 // the rows of an AppendDisjoint or an AppendDisjointVals into an empty
 // relation, so the first probing operation builds its table. Then each
-// operation is an opcode byte followed by its operands.
+// operation is an opcode byte followed by its operands. A pin (opcode 6)
+// must still answer as the oracle did when it was made once the run's
+// later operations on its source are done.
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 2, 0, 1, 2, 1, 3, 4, 2, 1, 2, 5, 3, 40, 4, 3, 0})
 	f.Add([]byte{3, 7, 8, 1, 2, 3, 1, 8, 1, 2, 3, 2, 9, 1, 2, 3, 0, 10, 1, 2, 3, 8, 1, 2, 3, 0, 6, 5, 0, 4, 4, 4})
@@ -161,6 +230,7 @@ func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{10, 6, 11, 5, 7, 0, 1, 2, 8, 1, 2, 6})
 	f.Add([]byte{7, 5, 20, 10, 1, 2, 3, 6, 4, 7, 60, 3, 9})
 	f.Add([]byte{9, 7, 0, 7, 8, 1, 9, 1, 10, 2})
+	f.Add([]byte{2, 7, 8, 1, 2, 1, 8, 1, 3, 1, 6, 9, 1, 2, 1, 8, 1, 2, 1, 8, 3, 3, 2, 6, 0, 4, 4, 9, 1, 3, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) == 0 {
 			return
@@ -214,6 +284,12 @@ func FuzzRelationOps(f *testing.F) {
 				m.rows[tu.Key()] = modelRow{n + i, 1}
 			}
 		}
+		var pins []pinned
+		defer func() {
+			for _, p := range pins {
+				p.check(t, arity, domain)
+			}
+		}()
 		if start := raw[0] / 4 % 3; start > 0 && arity > 0 {
 			appendAbsent(next()%64, next(), start == 2)
 			m.check("a table-less start")
@@ -271,17 +347,10 @@ func FuzzRelationOps(f *testing.F) {
 				}
 				m.r = c
 				m.check("Clone")
-			case 6: // Compact
-				snap := m.r.Compact()
-				checkTable(t, snap)
-				if snap.Counted() || snap.Len() != m.live() {
-					t.Fatalf("Compact: counted %v, %d tuples, oracle %d live", snap.Counted(), snap.Len(), m.live())
-				}
-				for k, e := range m.rows {
-					if got := snap.Contains(m.r.Row(e.row)); got != (e.count > 0) {
-						t.Fatalf("Compact: Contains %q = %v, oracle count %d", k, got, e.count)
-					}
-				}
+			case 6: // Pin, checked now and at the end of the run
+				p := pinned{m.r.Pin(), maps.Clone(m.rows)}
+				p.check(t, arity, domain)
+				pins = append(pins, p)
 			case 7: // EnableCounts
 				if !m.counted {
 					m.r.EnableCounts(1)

@@ -1,6 +1,10 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+)
 
 // Counted mode: the incremental-view-maintenance annotation column.
 //
@@ -14,8 +18,12 @@ import "fmt"
 // ids and the engine's row-id watermarks delimit maintenance deltas exactly
 // as they delimit semi-naive deltas.
 //
+// Next to the counts, a counted relation keeps a liveness bitmap, one bit
+// per row: the count's sign, kept where a snapshot can copy it in rows/64
+// words (see Pin).
+//
 // countSuperseded marks the abandoned old row of a rebirth; such rows are
-// unreachable garbage until Compact drops them.
+// unreachable garbage, never reclaimed.
 const countSuperseded int32 = -1
 
 // EnableCounts switches r to counted mode, giving every existing row count
@@ -25,17 +33,22 @@ func (r *Relation) EnableCounts(initial int32) {
 		return
 	}
 	r.counts = make([]int32, r.n)
+	r.live = make([]uint64, (r.n+63)/64)
 	for i := range r.counts {
 		r.counts[i] = initial
+		if initial > 0 {
+			r.live[i/64] |= 1 << (i % 64)
+		}
 	}
 }
 
 // Counted reports whether r is in counted mode.
 func (r *Relation) Counted() bool { return r.counts != nil }
 
-// Alive reports whether row id is live. Plain relations are entirely live.
+// Alive reports whether row id is live. Plain relations are entirely live,
+// at the cost of one nil check.
 func (r *Relation) Alive(row int) bool {
-	return r.counts == nil || r.counts[row] > 0
+	return r.live == nil || r.live[row>>6]&(1<<(uint(row)&63)) != 0
 }
 
 // CountOf returns row's derivation count (0 for dead, countSuperseded<0 for
@@ -49,9 +62,7 @@ func (r *Relation) LookupRow(t Tuple) int {
 	if len(t) != r.arity {
 		return -1
 	}
-	if r.pending != 0 {
-		r.settle()
-	}
+	r.ready()
 	_, row := r.find(t, hashVals(t))
 	return row
 }
@@ -71,9 +82,7 @@ func (r *Relation) InsertDelta(t Tuple, delta int32) (int, bool) {
 	if delta <= 0 {
 		panic("relation: InsertDelta requires a positive delta")
 	}
-	if r.pending != 0 {
-		r.settle()
-	}
+	r.ready()
 	h := hashVals(t)
 	i, row := r.find(t, h)
 	if row >= 0 {
@@ -91,11 +100,16 @@ func (r *Relation) InsertDelta(t Tuple, delta int32) (int, bool) {
 	return row, true
 }
 
-// appendRow appends t to the arena with the given count, returning its row.
+// appendRow appends t to the arena as a live row with the given count,
+// returning its row.
 func (r *Relation) appendRow(t Tuple, count int32) int {
 	row := r.n
 	r.data = append(r.data, t...)
 	r.counts = append(r.counts, count)
+	if row%64 == 0 {
+		r.live = append(r.live, 0)
+	}
+	r.live[row/64] |= 1 << (row % 64)
 	r.n++
 	return row
 }
@@ -120,6 +134,7 @@ func (r *Relation) AddDelta(row int, delta int32) bool {
 	wasAlive := r.counts[row] > 0
 	r.counts[row] = c
 	if wasAlive && c == 0 {
+		r.live[row/64] &^= 1 << (row % 64)
 		r.junk++
 		return true
 	}
@@ -140,32 +155,35 @@ func (r *Relation) SetCount(row int, c int32) {
 	r.counts[row] = c
 }
 
-// Compact returns an immutable plain-mode relation of the live tuples — the
-// snapshot form handed to concurrent readers. When no row has ever died the
-// arena is shared zero-copy: the returned relation aliases r.data pinned at
-// the current length (later appends by the writer land beyond the pin, in
-// memory the snapshot never reads) and the dedup table, with every row
-// entered, is copied wholesale. Otherwise live rows are filter-copied into
-// a fresh relation.
-func (r *Relation) Compact() *Relation {
-	if r.junk == 0 {
-		if r.pending != 0 {
-			r.settle()
-		}
-		end := r.n * r.arity
-		return &Relation{
-			arity: r.arity,
-			data:  r.data[:end:end],
-			n:     r.n,
-			table: append([]uint32(nil), r.table...),
-			mask:  r.mask,
-		}
+// pinLock guards the state a pinned relation builds on first use, its
+// dedup table and its indexes, which the readers sharing it all see.
+// tabled is set once the table is built, so a probe takes the lock only
+// until then.
+type pinLock struct {
+	mu     sync.Mutex
+	tabled atomic.Bool
+}
+
+// Pin returns an immutable snapshot of r's live tuples, the form handed to
+// concurrent readers. The snapshot aliases r's arena up to its current row
+// count: r never rewrites a row (a rebirth appends one and a death only
+// zeroes a count), and later appends land beyond the pin, in memory the
+// snapshot never reads. It takes a private copy of the liveness bitmap, so
+// it shares nothing mutable with r, and it hashes nothing: its dedup table
+// is built by its first probe and its indexes enter only its live rows,
+// both under the snapshot's own lock. A pin costs one bit per row.
+func (r *Relation) Pin() *Relation {
+	end := r.n * r.arity
+	p := &Relation{
+		arity:   r.arity,
+		data:    r.data[:end:end],
+		n:       r.n,
+		pending: r.n,
+		junk:    r.junk,
+		pin:     &pinLock{},
 	}
-	out := New(r.arity)
-	for i := 0; i < r.n; i++ {
-		if r.counts[i] > 0 {
-			out.Insert(r.row(i))
-		}
+	if r.live != nil {
+		p.live = append([]uint64(nil), r.live...)
 	}
-	return out
+	return p
 }

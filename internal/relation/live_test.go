@@ -101,31 +101,53 @@ func TestCountedInsertAndRowsFilter(t *testing.T) {
 	}
 }
 
-func TestCompactZeroCopyAndFiltered(t *testing.T) {
-	// Fast path: no junk → arena-sharing snapshot.
+func TestPinSharesArenaAndHidesLaterWrites(t *testing.T) {
 	r := New(2)
 	r.EnableCounts(0)
 	r.InsertDelta(tup(1, 2), 1)
 	r.InsertDelta(tup(3, 4), 2)
-	snap := r.Compact()
-	if snap.Counted() {
-		t.Error("snapshot should be plain mode")
+	r.InsertDelta(tup(7, 8), 1)
+	r.AddDelta(r.LookupRow(tup(7, 8)), -1)
+	snap := r.Pin()
+	if snap.Counted() || snap.table != nil {
+		t.Error("a pin should be uncounted and build no table until probed")
 	}
-	if snap.Len() != 2 || !snap.Contains(tup(1, 2)) || !snap.Contains(tup(3, 4)) {
-		t.Errorf("fast-path snapshot wrong: Len=%d", snap.Len())
+	if &snap.data[0] != &r.data[0] {
+		t.Error("the pin does not alias the writer's arena")
 	}
-	// Writer keeps appending; the snapshot must not see it.
-	r.InsertDelta(tup(5, 6), 1)
-	if snap.Len() != 2 || snap.Contains(tup(5, 6)) {
-		t.Error("snapshot observed a post-snapshot insert")
+	if snap.Len() != 2 || !snap.Contains(tup(1, 2)) || !snap.Contains(tup(3, 4)) || snap.Contains(tup(7, 8)) {
+		t.Errorf("pin wrong: Len=%d", snap.Len())
 	}
-
-	// Slow path: junk present → filter copy.
+	// The writer kills, inserts and reborns; the pin sees none of it.
 	r.AddDelta(r.LookupRow(tup(1, 2)), -1)
-	snap2 := r.Compact()
-	if snap2.Len() != 2 || snap2.Contains(tup(1, 2)) || !snap2.Contains(tup(5, 6)) {
-		t.Errorf("filtered snapshot wrong: Len=%d", snap2.Len())
+	r.InsertDelta(tup(5, 6), 1)
+	r.InsertDelta(tup(7, 8), 1)
+	if snap.Len() != 2 || !snap.Contains(tup(1, 2)) || snap.Contains(tup(5, 6)) || snap.Contains(tup(7, 8)) {
+		t.Error("the pin observed a later write")
 	}
+	if rows := snap.SortedRows(); len(rows) != 2 || !rows[0].Equal(tup(1, 2)) || !rows[1].Equal(tup(3, 4)) {
+		t.Errorf("pin Rows = %v", rows)
+	}
+	if run := snap.IndexOn(0).Probe([]ast.Value{7}, 0, snap.NumRows()); len(run) != 0 {
+		t.Errorf("the pin's index holds the dead row: %v", run)
+	}
+	snap2 := r.Pin()
+	if snap2.Len() != 3 || snap2.Contains(tup(1, 2)) || !snap2.Contains(tup(5, 6)) || !snap2.Contains(tup(7, 8)) {
+		t.Errorf("second pin wrong: Len=%d", snap2.Len())
+	}
+	c := snap.Clone()
+	if c.Counted() || c.pin != nil || !c.Equal(snap) || c.NumRows() != 2 {
+		t.Error("a pin's clone should be a plain relation of its live rows")
+	}
+	if !c.Insert(tup(9, 9)) || snap.Contains(tup(9, 9)) {
+		t.Error("inserting into a pin's clone")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Insert into a pin did not panic")
+		}
+	}()
+	snap.Insert(tup(9, 9))
 }
 
 func TestCountedCloneAndEqual(t *testing.T) {

@@ -134,7 +134,8 @@ func hashVals(vals []ast.Value) uint64 {
 // The zero value is not usable; create with New. A Relation (including its
 // cached indexes) is not safe for concurrent use, and its first probe after
 // an AppendDisjoint writes the dedup table; the engines give each processor
-// its own relations.
+// its own relations. A snapshot made by Pin is the exception: it is
+// immutable, and concurrent readers may probe and index it.
 type Relation struct {
 	arity int
 	data  []ast.Value // flat arena: row i is data[i*arity:(i+1)*arity]
@@ -154,8 +155,14 @@ type Relation struct {
 	// count countSuperseded was replaced by a newer physical row for the
 	// same tuple and is unreachable garbage.
 	counts []int32
+	// live is the liveness bitmap of a counted or pinned relation: bit i
+	// of live[i/64] is set while row i is live. nil means every row is.
+	live []uint64
 	// junk counts rows that are not live: dead-canonical plus superseded.
 	junk int
+	// pin is set on a snapshot made by Pin: readers share it, so it builds
+	// its dedup table and indexes under pin's lock.
+	pin *pinLock
 
 	indexes map[uint64]*Index // fast path, keyed by packed column signature
 	extra   []*Index          // overflow for column sets the packing can't encode
@@ -275,12 +282,10 @@ func (r *Relation) InsertRow(t Tuple) (row int, fresh bool) {
 	if len(t) != r.arity {
 		panic(fmt.Sprintf("relation: inserting arity-%d tuple into arity-%d relation", len(t), r.arity))
 	}
-	if r.counts != nil {
-		panic("relation: InsertRow on a counted relation")
+	if r.live != nil || r.pin != nil {
+		panic("relation: InsertRow on a counted or pinned relation")
 	}
-	if r.pending != 0 {
-		r.settle()
-	}
+	r.ready()
 	h := hashVals(t)
 	i, row := r.find(t, h)
 	if row >= 0 {
@@ -314,15 +319,24 @@ func (r *Relation) growArena() {
 // growTable doubles the hash table.
 func (r *Relation) growTable() { r.rehash(len(r.table) * 2) }
 
+// tabled reports whether row belongs in the dedup table: every row of a
+// plain relation, every row but the superseded ones of a counted relation
+// (a dead row stays, so a re-insert finds it), and the live rows of a
+// pinned one, which never inserts.
+func (r *Relation) tabled(row int) bool {
+	if r.counts != nil {
+		return r.counts[row] != countSuperseded
+	}
+	return r.Alive(row)
+}
+
 // rehash rebuilds the hash table at size slots (a power of two), rehashing
-// every row from the arena, pending rows included. Superseded rows (counted
-// mode) are skipped: only the canonical physical row of each tuple lives in
-// the table.
+// every tabled row from the arena, pending rows included.
 func (r *Relation) rehash(size int) {
 	nt := make([]uint32, size)
 	mask := uint64(size - 1)
 	for row := 0; row < r.n; row++ {
-		if r.counts != nil && r.counts[row] == countSuperseded {
+		if !r.tabled(row) {
 			continue
 		}
 		h := r.hashRow(row)
@@ -341,7 +355,7 @@ func (r *Relation) rehash(size int) {
 // enters the pending rows into it, in one pass over the arena when the
 // table has to grow.
 func (r *Relation) sizeTable(need int) {
-	size := len(r.table)
+	size := max(len(r.table), initialTableSize)
 	for uint64(need)*4 >= uint64(size)*3 {
 		size *= 2
 	}
@@ -350,6 +364,9 @@ func (r *Relation) sizeTable(need int) {
 		return
 	}
 	for row := r.n - r.pending; row < r.n; row++ {
+		if !r.tabled(row) {
+			continue
+		}
 		h := r.hashRow(row)
 		i := h & r.mask
 		for r.table[i] != 0 {
@@ -360,9 +377,32 @@ func (r *Relation) sizeTable(need int) {
 	r.pending = 0
 }
 
-// settle enters the pending rows into the dedup table. Every probe calls it
+// ready enters the pending rows into the dedup table. Every probe calls it
 // first, so the table is built by the first probe that needs it.
-func (r *Relation) settle() { r.sizeTable(r.n) }
+func (r *Relation) ready() {
+	if r.pin != nil || r.pending != 0 {
+		r.settle()
+	}
+}
+
+// settle builds what ready needs. Readers share a pinned relation, so it
+// builds its table once, under its lock.
+func (r *Relation) settle() {
+	p := r.pin
+	if p == nil {
+		r.sizeTable(r.n)
+		return
+	}
+	if p.tabled.Load() {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.tabled.Load() {
+		r.sizeTable(r.n)
+		p.tabled.Store(true)
+	}
+}
 
 // Grow makes room for n more rows: the arena and the dedup table are sized
 // once, so a bulk load of up to n rows neither reallocates the arena nor
@@ -392,8 +432,8 @@ func (r *Relation) GrowArena(n int) {
 func (r *Relation) AppendDisjoint(srcs ...*Relation) {
 	more := 0
 	for _, s := range srcs {
-		if s.arity != r.arity || s.counts != nil || r.counts != nil {
-			panic(fmt.Sprintf("relation: AppendDisjoint of an arity-%d relation into arity %d (or a counted relation)", s.arity, r.arity))
+		if s.arity != r.arity || s.live != nil || r.live != nil || r.pin != nil {
+			panic(fmt.Sprintf("relation: AppendDisjoint of an arity-%d relation into arity %d (or a counted or pinned relation)", s.arity, r.arity))
 		}
 		more += s.n
 	}
@@ -413,8 +453,8 @@ func (r *Relation) AppendDisjoint(srcs ...*Relation) {
 // k: the arena grows to hold it. Plain set mode only; AppendDisjointVals
 // panics on a counted relation.
 func (r *Relation) AppendDisjointVals(k int, fill func(vals []ast.Value) error) error {
-	if r.counts != nil {
-		panic("relation: AppendDisjointVals on a counted relation")
+	if r.live != nil || r.pin != nil {
+		panic("relation: AppendDisjointVals on a counted or pinned relation")
 	}
 	r.GrowArena(k)
 	base := len(r.data)
@@ -432,10 +472,10 @@ func (r *Relation) AppendDisjointVals(k int, fill func(vals []ast.Value) error) 
 // without copying: the batch shares the relation's storage, so callers must
 // not modify it. Its capacity ends with its last row, so rows inserted later
 // are not part of it and never write into it. Plain set mode only; Flat
-// panics on a counted relation, whose arena also holds dead rows.
+// panics on a counted or pinned relation, whose arena also holds dead rows.
 func (r *Relation) Flat(from int) Batch {
-	if r.counts != nil {
-		panic("relation: Flat on a counted relation")
+	if r.live != nil {
+		panic("relation: Flat on a counted or pinned relation")
 	}
 	lo, end := from*r.arity, r.n*r.arity
 	return Batch{Arity: r.arity, N: r.n - from, Vals: r.data[lo:end:end]}
@@ -446,11 +486,9 @@ func (r *Relation) Contains(t Tuple) bool {
 	if len(t) != r.arity {
 		return false
 	}
-	if r.pending != 0 {
-		r.settle()
-	}
+	r.ready()
 	_, row := r.find(t, hashVals(t))
-	return row >= 0 && (r.counts == nil || r.counts[row] > 0)
+	return row >= 0 && r.Alive(row)
 }
 
 // Rows returns the current rows as tuple headers into the arena. The result
@@ -458,16 +496,9 @@ func (r *Relation) Contains(t Tuple) bool {
 // reflected); the tuples themselves must not be modified. Prefer Len/Row in
 // hot loops — Rows allocates the header slice.
 func (r *Relation) Rows() []Tuple {
-	if r.counts == nil {
-		out := make([]Tuple, r.n)
-		for i := range out {
-			out[i] = r.row(i)
-		}
-		return out
-	}
-	out := make([]Tuple, 0, r.n-r.junk)
+	out := make([]Tuple, 0, r.Len())
 	for i := 0; i < r.n; i++ {
-		if r.counts[i] > 0 {
+		if r.Alive(i) {
 			out = append(out, r.row(i))
 		}
 	}
@@ -486,8 +517,20 @@ func (r *Relation) Row(i int) Tuple {
 // Clone returns an independent deep copy: the arena and dedup table are
 // copied wholesale, with no per-tuple rehashing, and rows not yet in the
 // table stay pending in the copy. Indexes are not copied; they rebuild
-// lazily.
+// lazily. The copy of a pinned relation is a plain relation of its live
+// rows, all pending.
 func (r *Relation) Clone() *Relation {
+	if r.pin != nil {
+		out := New(r.arity)
+		out.GrowArena(r.Len())
+		for i := 0; i < r.n; i++ {
+			if r.Alive(i) {
+				out.data = append(out.data, r.row(i)...)
+			}
+		}
+		out.n, out.pending = r.Len(), r.Len()
+		return out
+	}
 	out := &Relation{
 		arity:   r.arity,
 		data:    append([]ast.Value(nil), r.data...),
@@ -500,6 +543,7 @@ func (r *Relation) Clone() *Relation {
 	if r.counts != nil {
 		// Not append to nil: an empty counted relation clones counted.
 		out.counts = append(make([]int32, 0, len(r.counts)), r.counts...)
+		out.live = append(make([]uint64, 0, len(r.live)), r.live...)
 	}
 	return out
 }
@@ -510,10 +554,7 @@ func (r *Relation) Equal(s *Relation) bool {
 		return false
 	}
 	for i := 0; i < r.n; i++ {
-		if r.counts != nil && r.counts[i] <= 0 {
-			continue
-		}
-		if !s.Contains(r.row(i)) {
+		if r.Alive(i) && !s.Contains(r.row(i)) {
 			return false
 		}
 	}
@@ -589,8 +630,13 @@ func sameCols(a []int, b []int) bool {
 
 // IndexOn returns a hash index on the given columns, building or refreshing
 // it as needed. Indexes are cached per column set and maintained
-// incrementally because rows are append-only.
+// incrementally because rows are append-only. A pinned relation builds
+// them under its lock, so concurrent readers may index it.
 func (r *Relation) IndexOn(cols ...int) *Index {
+	if r.pin != nil {
+		r.pin.mu.Lock()
+		defer r.pin.mu.Unlock()
+	}
 	var idx *Index
 	if sig, ok := indexSig(cols); ok {
 		if r.indexes == nil {
@@ -689,9 +735,14 @@ func (ix *Index) keyEqualVals(e *idxEntry, vals []ast.Value) bool {
 }
 
 // refresh extends the index over rows appended since the last refresh.
+// A row dead by then is left out: rows never come back to life in place,
+// and the joins skip dead rows anyway.
 func (ix *Index) refresh() {
 	for ; ix.built < ix.rel.n; ix.built++ {
 		row := ix.built
+		if !ix.rel.Alive(row) {
+			continue
+		}
 		h := ix.rowHash(row)
 		i := h & ix.mask
 		ei := int32(-1)

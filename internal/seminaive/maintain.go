@@ -179,12 +179,22 @@ func NewIVM(prog *ast.Program, edb relation.Store, opts Options) (*IVM, *Stats, 
 // snapshot readers should use SnapshotStore.
 func (m *IVM) Store() relation.Store { return m.store }
 
-// SnapshotStore compacts every relation's live extent into immutable
-// plain-mode relations sharing the arena where possible (relation.Compact).
-func (m *IVM) SnapshotStore() relation.Store {
+// SnapshotStore pins every relation's live extent (relation.Pin): an
+// immutable store over the writer's arenas that copies one liveness bit
+// per row and hashes nothing.
+func (m *IVM) SnapshotStore() relation.Store { return m.pin(nil) }
+
+// SnapshotEDB pins the base relations only, what durable compaction
+// persists.
+func (m *IVM) SnapshotEDB() relation.Store { return m.pin(m.IsEDB) }
+
+// pin pins the relations keep accepts, or all of them when keep is nil.
+func (m *IVM) pin(keep func(pred string) bool) relation.Store {
 	out := make(relation.Store, len(m.store))
 	for pred, rel := range m.store {
-		out[pred] = rel.Compact()
+		if keep == nil || keep(pred) {
+			out[pred] = rel.Pin()
+		}
 	}
 	return out
 }

@@ -306,10 +306,12 @@ func tupleKey(pred string, t Tuple) string {
 }
 
 // Snapshot publishes an immutable view of the current model. Snapshots are
-// cheap — relations that saw no deletion share the writer's arenas
-// zero-copy, pinned at the current length — and cached per epoch, so
-// repeated calls between Applies return the same object. A snapshot
-// remains valid and consistent forever; later Applies never show through.
+// cheap: every relation shares the writer's arena, pinned at its current
+// length, and copies only a liveness bitmap, one bit per row; nothing is
+// hashed until a read probes it. They are cached per epoch, so repeated
+// calls between Applies return the same object and reuse the indexes its
+// first queries built. A snapshot remains valid and consistent forever;
+// later Applies never show through.
 func (v *View) Snapshot() (*Snapshot, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -353,11 +355,9 @@ func (v *View) validateDelta(d Delta) error {
 	return check(d.Insert)
 }
 
-// edbSnapshot extracts the current base relations — what compaction
+// edbSnapshot pins the current base relations — what compaction
 // persists. Callers hold v.mu.
-func (v *View) edbSnapshot() Store {
-	return edbSnapshot(v.ivm.SnapshotStore(), v.ivm.IsEDB)
-}
+func (v *View) edbSnapshot() Store { return v.ivm.SnapshotEDB() }
 
 // DurabilityStats reports the state directory's extent: the recovered
 // epoch plus later Applies, the newest segment's pin, and the WAL length
@@ -420,14 +420,13 @@ type Snapshot struct {
 	// profile mirrors the View's Open-time EvalOptions.Profile: snapshot
 	// queries then fill QueryResult.Profile with the goal scan's counters.
 	profile bool
-	mu      sync.Mutex // serializes Query: plans build relation indexes lazily
 }
 
 // Epoch returns the view epoch the snapshot pinned.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
-// Store returns the snapshot's relations. Callers must treat them as
-// read-only; inserting would defeat the arena sharing with the live view.
+// Store returns the snapshot's relations. They are immutable and safe for
+// concurrent readers; inserting into one panics.
 func (s *Snapshot) Store() Store { return s.store }
 
 // Query matches a goal atom such as "anc(a, X)" against the snapshot and
@@ -459,10 +458,9 @@ func (s *Snapshot) Query(ctx context.Context, goal string) (*QueryResult, error)
 	if rel.Arity() != atom.Arity() {
 		return nil, fmt.Errorf("parlog: %s has arity %d, goal uses %d", atom.Pred, rel.Arity(), atom.Arity())
 	}
-	// Materialize the matches eagerly under the snapshot lock: plan
-	// execution builds relation hash indexes lazily, which concurrent
-	// readers must not race on. The scan itself is index-probe joins over
-	// the pinned arena — the PR 6 execution path.
+	// Materialize the matches eagerly. The scan is index-probe joins over
+	// the pinned arena; a pinned relation builds its indexes under its own
+	// lock, so concurrent queries share them safely.
 	match := ast.Rule{Head: atom.Clone(), Body: []ast.Atom{atom.Clone()}}
 	plan := seminaive.Compile(match, nil)
 	var rp *seminaive.RuleProfile
@@ -473,8 +471,6 @@ func (s *Snapshot) Query(ctx context.Context, goal string) (*QueryResult, error)
 		rp = qr.Result.Profile.Rule(seminaive.ProfileKey(s.prog.ast, match), atom.Pred)
 		t0 = time.Now()
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cur := plan.Stream(s.store, nil)
 	for cur.Next() {
 		qr.pre = append(qr.pre, cur.Head())

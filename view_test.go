@@ -180,6 +180,20 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 					t.Errorf("reader %d: no answers at epoch %d", r, snap.Epoch())
 					return
 				}
+				// The relations themselves are shared by every reader of
+				// the epoch: the first Contains builds the dedup table.
+				anc := snap.Store()["anc"]
+				rows := anc.Rows()
+				if len(rows) != anc.Len() || !anc.Contains(Tuple{consts[0], consts[1]}) {
+					t.Errorf("reader %d: %d rows of %d, anc(n0, n1) %v", r, len(rows), anc.Len(), anc.Contains(Tuple{consts[0], consts[1]}))
+					return
+				}
+				for _, tu := range rows {
+					if !anc.Contains(tu) {
+						t.Errorf("reader %d: anc lists %v but does not contain it", r, tu)
+						return
+					}
+				}
 			}
 		}(r)
 	}
@@ -195,6 +209,114 @@ anc(X, Y) :- par(X, Z), anc(Z, Y).
 		}
 	}
 	wg.Wait()
+}
+
+// TestSnapshotHeldAcrossApplies takes a snapshot of the ancestor view of
+// tree(3,4) and then applies 1,000 random single-edge inserts and deletes,
+// so rows die, are reborn on fresh rows and are appended past the pin in
+// the writer's arena. The snapshot must still answer every goal
+// anc(c, X) and anc(X, c), and hold the same anc rows, as when it was
+// taken.
+func TestSnapshotHeldAcrossApplies(t *testing.T) {
+	ctx := context.Background()
+	p, edb, _, _ := treeCase(t, allocAncestor, 3, 4, 0)
+	nodes := edb["par"].Len() + 1
+	node := func(i int) Value { return p.Intern(fmt.Sprintf("n%d", i)) }
+	v, err := Open(ctx, p, edb, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	// One Apply first, so the pinned arena already holds a dead row.
+	if _, err := v.Apply(*NewDelta().Remove("par", Tuple{node(0), node(1)})); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := v.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func() []string {
+		var out []string
+		for c := 0; c < nodes; c++ {
+			for _, goal := range []string{"anc(n%d, X)", "anc(X, n%d)"} {
+				goal := fmt.Sprintf(goal, c)
+				qr, err := snap.Query(ctx, goal)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, fmt.Sprint(goal, qr.All()))
+			}
+		}
+		return append(out, snap.Store()["anc"].String())
+	}
+	want := answers()
+
+	rng := rand.New(rand.NewSource(11))
+	var added []Tuple
+	for i := 0; i < 1000; i++ {
+		d := NewDelta()
+		switch k := rng.Intn(3); {
+		case k == 0 && len(added) > 0:
+			j := rng.Intn(len(added))
+			d.Remove("par", added[j])
+			added = append(added[:j], added[j+1:]...)
+		case k == 1:
+			c := 1 + rng.Intn(nodes-1)
+			d.Remove("par", Tuple{node((c - 1) / 3), node(c)})
+		default:
+			tu := Tuple{node(rng.Intn(nodes)), node(rng.Intn(nodes))}
+			d.Add("par", tu)
+			added = append(added, tu)
+		}
+		if _, err := v.Apply(*d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v.Epoch() != 1001 {
+		t.Fatalf("epoch %d after 1,001 Applies", v.Epoch())
+	}
+	got := answers()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("after 1,000 Applies the snapshot answers %s, it answered %s", got[i], want[i])
+		}
+	}
+}
+
+// TestSnapshotStoreAsEDB evaluates a program over a snapshot's base
+// relation, which holds dead rows after deletes, on every engine: each must
+// read only its live rows and derive the snapshot's own anc.
+func TestSnapshotStoreAsEDB(t *testing.T) {
+	ctx := context.Background()
+	p, edb, ins, del := treeCase(t, allocAncestor, 3, 3, 6)
+	v, err := Open(ctx, p, edb, EvalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v.Close()
+	if _, err := v.ApplyBatch(ins...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.ApplyBatch(del[:4]...); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := v.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := snap.Store()["par"]
+	if par.NumRows() == par.Len() {
+		t.Fatal("the snapshot's par holds no dead row")
+	}
+	for _, opts := range []EvalOptions{{}, {Engine: EngineParallel, Workers: 2}, {Engine: EngineDistributed, Workers: 2}} {
+		res, err := Eval(ctx, p, Store{"par": par}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Output["anc"], snap.Store()["anc"]; !got.Equal(want) {
+			t.Errorf("engine %d over the snapshot's par: %d anc tuples, the snapshot holds %d", opts.Engine, got.Len(), want.Len())
+		}
+	}
 }
 
 // TestViewRandomProgramsDifferential is the tentpole's correctness pin:
